@@ -45,13 +45,6 @@ int Main(int argc, char** argv) {
     return 2;
   }
   const auto shards = static_cast<std::uint32_t>(flags.GetSize("shards", 1));
-  core::RangeDecomp decomp = core::RangeDecomp::kRuns;
-  const std::string decomp_name = flags.GetString("decomp", "runs");
-  if (!core::ParseRangeDecomp(decomp_name, &decomp)) {
-    std::fprintf(stderr, "unknown --decomp=%s (expected sort|runs)\n",
-                 decomp_name.c_str());
-    return 2;
-  }
   bench::JsonWriter json(flags.GetString("json", ""));
 
   bench::PrintHeader(
@@ -104,7 +97,6 @@ int Main(int argc, char** argv) {
     json.Field("eps", static_cast<double>(eps));
     json.Field("layout", core::ToString(layout));
     json.Field("shards", static_cast<double>(shards));
-    json.Field("decomp", core::ToString(decomp));
     json.Field("total_ms", ms);
     json.Field("comparisons", static_cast<double>(c.element_tests));
     json.Field("pairs", static_cast<double>(pairs.size()));
@@ -182,11 +174,8 @@ int Main(int argc, char** argv) {
   mg_cfg.threads = threads;
   mg_cfg.layout = layout;
   mg_cfg.shards = shards;
-  mg_cfg.decomp = decomp;
-  std::printf("memgrid threads: %u, memgrid layout: %s, memgrid shards: %u, "
-              "memgrid decomp: %s\n",
-              par::ResolveThreads(threads), core::ToString(layout), shards,
-              core::ToString(decomp));
+  std::printf("memgrid threads: %u, memgrid layout: %s, memgrid shards: %u\n",
+              par::ResolveThreads(threads), core::ToString(layout), shards);
   const std::size_t p_memgrid =
       run("memgrid build+self-join (parallel)", [&](QueryCounters* c) {
         core::MemGrid memgrid(ds.universe, mg_cfg);

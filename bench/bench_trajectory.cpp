@@ -32,7 +32,7 @@
 //   --serving-reps=<r>         serving replays per mode (default 3)
 //
 // The serving gate replays the baseline's workload (n, dataset, layout,
-// shards, compact, decomp, batch window, zipf, mix, probe count are all
+// shards, compact, batch window, zipf, mix, probe count are all
 // rebuilt from the committed front record) and gates BOTH directions of
 // regression per (kernel, structure): sustained throughput (baseline/new,
 // so a throughput LOSS trips it) and p95 latency (new/baseline). Either
@@ -114,7 +114,6 @@ int RunServingGate(const std::string& bench, const std::string& baseline_path,
       opt("layout", Get(front, "layout")) +
       opt("shards", Get(front, "shards")) +
       opt("compact", Get(front, "compact_regions")) +
-      opt("decomp", Get(front, "decomp")) +
       opt("batch", Get(front, "batch")) + opt("zipf", Get(front, "zipf")) +
       opt("mix", Get(front, "mix")) + opt("probes", Get(front, "probes")) +
       " --json=\"" + out_path + "\"";
@@ -251,7 +250,6 @@ int Main(int argc, char** argv) {
   const std::string layout = Get(baseline.front(), "layout");
   const std::string shards = Get(baseline.front(), "shards");
   const std::string compact = Get(baseline.front(), "compact_regions");
-  const std::string decomp = Get(baseline.front(), "decomp");
   if (n.empty() || dataset.empty()) {
     std::fprintf(stderr, "trajectory: baseline lacks n/dataset fields\n");
     return 2;
@@ -272,8 +270,7 @@ int Main(int argc, char** argv) {
       " --reps=" + std::to_string(reps) + " --threads=1" +
       (layout.empty() ? "" : " --layout=" + layout) +
       (shards.empty() ? "" : " --shards=" + shards) +
-      (compact.empty() ? "" : " --compact=" + compact) +
-      (decomp.empty() ? "" : " --decomp=" + decomp) + " --json=\"" +
+      (compact.empty() ? "" : " --compact=" + compact) + " --json=\"" +
       out_path + "\"";
   std::printf("trajectory: %s\n", cmd.c_str());
   std::fflush(stdout);

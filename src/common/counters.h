@@ -77,7 +77,7 @@ struct QueryCounters {
   }
 
   /// Counter totals are part of the determinism contract (identical across
-  /// threads/layout/shards/decomp/batch), so the batteries compare whole
+  /// threads/layout/shards/batch), so the batteries compare whole
   /// counter sets at once.
   bool operator==(const QueryCounters&) const = default;
 };

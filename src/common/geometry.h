@@ -542,6 +542,15 @@ bool TriangleIntersectsAABB(const Vec3& t0, const Vec3& t1, const Vec3& t2,
 /// AABB-hits is not face-connected even on convex meshes).
 bool TetIntersectsAABB(const Tetrahedron& tet, const AABB& box);
 
+/// Grid cell of a position `t` measured in cells from the lattice origin,
+/// clamped to [0, n): truncation toward zero, like a plain cast, but the
+/// clamp happens in float first — a float -> int conversion of an
+/// out-of-range or NaN value is undefined behaviour. NaN lands in cell 0.
+inline std::int32_t ClampedCellCoord(float t, std::size_t n) {
+  const float last = static_cast<float>(n - 1);
+  return static_cast<std::int32_t>(t >= 0.0f ? std::min(t, last) : 0.0f);
+}
+
 /// Morton (Z-order) code of integer lattice coordinates (low 21 bits per
 /// axis are used; x occupies the least-significant interleave slot).
 /// Injective on [0, 2^21)^3 — distinct cells get distinct keys — which is
@@ -550,8 +559,7 @@ std::uint64_t MortonEncodeCell(std::uint32_t x, std::uint32_t y,
                                std::uint32_t z);
 
 /// Inverse of MortonEncodeCell: recover the lattice coordinates from a
-/// Morton key. The curve-range decomposition (core::CurveRangeRuns) uses it
-/// to locate the entry cell of each enumerated key run.
+/// Morton key.
 void MortonDecodeCell(std::uint64_t key, std::uint32_t* x, std::uint32_t* y,
                       std::uint32_t* z);
 
@@ -569,7 +577,7 @@ std::uint64_t HilbertEncodeCell(std::uint32_t x, std::uint32_t y,
 /// then the published TransposetoAxes pass). Both curve codecs are
 /// *hierarchical*: the cells whose keys share a 3*l-bit prefix form an
 /// axis-aligned subcube of side 2^(bits-l) — the property the BIGMIN-style
-/// range decomposition (core::CurveRangeRuns) is built on.
+/// range decomposition (core::CurveRangeRankRuns) is built on.
 void HilbertDecodeCell(std::uint64_t key, int bits, std::uint32_t* x,
                        std::uint32_t* y, std::uint32_t* z);
 

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/geometry.h"
-
 namespace simspatial::core {
 
 namespace {
 
 /// Append [begin, end) to the run list, fusing with the previous run when
-/// key-adjacent — valid only while emission is in ascending key order.
+/// adjacent — valid only while emission is in ascending order.
 inline void EmitRun(std::uint64_t begin, std::uint64_t end,
                     std::vector<CurveRun>* out) {
   if (!out->empty() && out->back().end == begin) {
@@ -21,235 +19,89 @@ inline void EmitRun(std::uint64_t begin, std::uint64_t end,
 }
 
 // ---------------------------------------------------------------------------
-// Hilbert state machine, derived numerically from the codec.
+// Curve state machines.
 //
 // A Hilbert curve is self-similar: the sub-curve inside each octant is the
 // canonical curve under a signed axis permutation (rotation/reflection),
 // and that transform depends only on the octant's VISIT POSITION, not on
-// the refinement level. The classic table-driven decomposition exploits
-// this: a walk state is the accumulated transform, and one table lookup
-// per octant yields both its lattice position and the child state — no
-// codec evaluation anywhere in the recursion.
-//
-// Rather than hard-coding the 3-D table (whose entries depend on exactly
-// which of the many "the" Hilbert curves HilbertEncodeCell implements),
-// BuildHilbertMachine() derives it FROM the codec at first use: the eight
-// child transforms are solved from the bits=2 decode, the state set is
-// closed under composition (at most the 48 signed permutations), and the
-// finished machine is verified key-for-key against HilbertDecodeCell at
-// bits=3 and bits=4. If the codec ever stopped being self-similar the
-// verification would fail and CurveRangeRuns would fall back to the
-// codec-generic coordinate descent below (correct for any hierarchical
-// curve, just slower) — the decomposition can therefore never drift from
-// the codec, which is also what the curve_runs_test fuzz pins end to end.
+// the refinement level. A walk state is the accumulated transform, and one
+// table lookup per octant yields both its lattice position and the child
+// state — no codec evaluation anywhere in the recursion. The transforms
+// reachable from the identity close to 24 states (of the 48 signed
+// permutations); the table below was derived numerically from
+// HilbertDecodeCell (child transforms solved from the bits=2 decode, the
+// state set closed under composition) and curve_runs_test pins it against
+// HilbertEncodeCell for every cell at bits 1-4.
 
-/// Signed permutation of the axes acting on octant bit-triples
-/// (x | y<<1 | z<<2): output axis a reads input axis `axis[a]`, XOR
-/// `flip[a]`.
-struct AxisMap {
-  std::uint8_t axis[3] = {0, 1, 2};
-  std::uint8_t flip[3] = {0, 0, 0};
-
-  std::uint8_t Apply(std::uint8_t v) const {
-    std::uint8_t r = 0;
-    for (int a = 0; a < 3; ++a) {
-      r = static_cast<std::uint8_t>(
-          r | ((((v >> axis[a]) & 1u) ^ flip[a]) << a));
-    }
-    return r;
-  }
-  /// (*this) o t: apply `t` first, then this.
-  AxisMap Compose(const AxisMap& t) const {
-    AxisMap c;
-    for (int a = 0; a < 3; ++a) {
-      c.axis[a] = t.axis[axis[a]];
-      c.flip[a] = flip[a] ^ t.flip[axis[a]];
-    }
-    return c;
-  }
-  /// Dense packing for the state-id lookup (axis is a permutation, so 9
-  /// bits suffice).
-  std::uint16_t Packed() const {
-    return static_cast<std::uint16_t>(axis[0] | axis[1] << 2 | axis[2] << 4 |
-                                      flip[0] << 6 | flip[1] << 7 |
-                                      flip[2] << 8);
-  }
+/// (state, visit position) -> octant triple (x | y<<1 | z<<2) and the
+/// child's state. State 0 is the root orientation.
+struct CurveMachine {
+  std::uint8_t oct[24][8];
+  std::uint8_t next[24][8];
 };
 
-constexpr int kMaxStates = 48;  // |signed permutations of 3 axes|.
-
-struct HilbertMachine {
-  bool valid = false;
-  std::uint8_t oct[kMaxStates][8];   ///< (state, visit pos) -> octant triple.
-  std::uint8_t next[kMaxStates][8];  ///< (state, visit pos) -> child state.
+constexpr CurveMachine kHilbertMachine = {
+    {{0, 4, 6, 2, 3, 7, 5, 1}, {0, 2, 3, 1, 5, 7, 6, 4},
+     {0, 4, 5, 1, 3, 7, 6, 2}, {5, 4, 6, 7, 3, 2, 0, 1},
+     {0, 1, 3, 2, 6, 7, 5, 4}, {3, 7, 6, 2, 0, 4, 5, 1},
+     {5, 7, 6, 4, 0, 2, 3, 1}, {0, 1, 5, 4, 6, 7, 3, 2},
+     {0, 2, 6, 4, 5, 7, 3, 1}, {6, 2, 3, 7, 5, 1, 0, 4},
+     {5, 7, 3, 1, 0, 2, 6, 4}, {6, 7, 3, 2, 0, 1, 5, 4},
+     {6, 4, 5, 7, 3, 1, 0, 2}, {3, 7, 5, 1, 0, 4, 6, 2},
+     {6, 7, 5, 4, 0, 1, 3, 2}, {5, 4, 0, 1, 3, 2, 6, 7},
+     {5, 1, 3, 7, 6, 2, 0, 4}, {3, 2, 6, 7, 5, 4, 0, 1},
+     {3, 2, 0, 1, 5, 4, 6, 7}, {3, 1, 0, 2, 6, 4, 5, 7},
+     {5, 1, 0, 4, 6, 2, 3, 7}, {3, 1, 5, 7, 6, 4, 0, 2},
+     {6, 2, 0, 4, 5, 1, 3, 7}, {6, 4, 0, 2, 3, 1, 5, 7}},
+    {{1, 2, 0, 3, 4, 0, 5, 6},       {7, 8, 1, 9, 2, 1, 10, 11},
+     {4, 0, 2, 12, 1, 2, 13, 14},    {10, 15, 3, 0, 16, 3, 17, 8},
+     {8, 7, 4, 16, 0, 4, 11, 10},    {18, 13, 5, 6, 19, 5, 0, 3},
+     {15, 10, 6, 5, 20, 6, 8, 17},   {0, 4, 7, 21, 8, 7, 14, 13},
+     {2, 1, 8, 17, 7, 8, 6, 5},      {14, 22, 9, 1, 12, 9, 16, 4},
+     {20, 6, 10, 11, 15, 10, 1, 9},  {22, 14, 11, 10, 23, 11, 4, 16},
+     {11, 23, 12, 2, 9, 12, 21, 7},  {19, 5, 13, 14, 18, 13, 2, 12},
+     {23, 11, 14, 13, 22, 14, 7, 21}, {16, 3, 15, 23, 10, 15, 18, 22},
+     {6, 20, 16, 4, 3, 16, 9, 1},    {13, 18, 17, 8, 21, 17, 3, 0},
+     {21, 17, 18, 22, 13, 18, 15, 23}, {17, 21, 19, 20, 5, 19, 23, 15},
+     {3, 16, 20, 19, 6, 20, 22, 18}, {5, 19, 21, 7, 17, 21, 12, 2},
+     {12, 9, 22, 18, 14, 22, 20, 19}, {9, 12, 23, 15, 11, 23, 19, 20}},
 };
-
-std::uint8_t PackedCell(std::uint64_t key, int bits) {
-  std::uint32_t x, y, z;
-  HilbertDecodeCell(key, bits, &x, &y, &z);
-  return static_cast<std::uint8_t>((x & 1u) | (y & 1u) << 1 | (z & 1u) << 2);
-}
-
-/// Expand the machine into the key -> cell mapping of a `bits`-deep curve
-/// and compare against the codec (the self-check behind `valid`).
-bool MachineMatchesCodec(const HilbertMachine& m, int bits) {
-  struct Frame {
-    std::uint32_t bx, by, bz;
-    std::uint8_t state;
-  };
-  const std::uint64_t keys = std::uint64_t{1} << (3 * bits);
-  for (std::uint64_t key = 0; key < keys; ++key) {
-    Frame f{0, 0, 0, 0};
-    for (int level = bits - 1; level >= 0; --level) {
-      const auto p = static_cast<std::uint32_t>(key >> (3 * level)) & 7u;
-      const std::uint8_t o = m.oct[f.state][p];
-      f.bx |= (o & 1u) << level;
-      f.by |= ((o >> 1) & 1u) << level;
-      f.bz |= ((o >> 2) & 1u) << level;
-      f.state = m.next[f.state][p];
-    }
-    std::uint32_t x, y, z;
-    HilbertDecodeCell(key, bits, &x, &y, &z);
-    if (x != f.bx || y != f.by || z != f.bz) return false;
-  }
-  return true;
-}
-
-HilbertMachine BuildHilbertMachine() {
-  HilbertMachine m{};
-  // Canonical first-level visit order (the bits=1 curve) and, from the
-  // bits=2 curve, the signed permutation each visit position applies to
-  // its sub-curve.
-  std::uint8_t canon[8];
-  for (std::uint64_t p = 0; p < 8; ++p) canon[p] = PackedCell(p, 1);
-  AxisMap child_map[8];
-  for (std::uint64_t p = 0; p < 8; ++p) {
-    // Local 1-bit coords of the 8 cells inside visit-position p's octant.
-    std::uint8_t local[8];
-    for (std::uint64_t k = 0; k < 8; ++k) {
-      std::uint32_t x, y, z;
-      HilbertDecodeCell(p * 8 + k, 2, &x, &y, &z);
-      local[k] = static_cast<std::uint8_t>((x & 1u) | (y & 1u) << 1 |
-                                           (z & 1u) << 2);
-    }
-    // Solve local[k] == T(canon[k]) for the signed permutation T.
-    AxisMap t;
-    for (int a = 0; a < 3; ++a) {
-      bool solved = false;
-      for (std::uint8_t in = 0; in < 3 && !solved; ++in) {
-        for (std::uint8_t f = 0; f < 2 && !solved; ++f) {
-          bool all = true;
-          for (int k = 0; k < 8; ++k) {
-            if (((local[k] >> a) & 1u) !=
-                (((canon[k] >> in) & 1u) ^ f)) {
-              all = false;
-              break;
-            }
-          }
-          if (all) {
-            t.axis[a] = in;
-            t.flip[a] = f;
-            solved = true;
-          }
-        }
-      }
-      if (!solved) return m;  // Not a signed permutation: not self-similar.
-    }
-    child_map[p] = t;
-  }
-  // Close the state set under composition (BFS from the identity).
-  std::vector<AxisMap> states;
-  std::array<std::int8_t, 512> id_of;
-  id_of.fill(-1);
-  const auto intern = [&](const AxisMap& s) -> int {
-    const std::uint16_t packed = s.Packed();
-    if (id_of[packed] >= 0) return id_of[packed];
-    if (states.size() >= kMaxStates) return -1;
-    id_of[packed] = static_cast<std::int8_t>(states.size());
-    states.push_back(s);
-    return id_of[packed];
-  };
-  intern(AxisMap{});
-  for (std::size_t s = 0; s < states.size(); ++s) {
-    const AxisMap state = states[s];  // By value: `states` grows below.
-    for (int p = 0; p < 8; ++p) {
-      m.oct[s][p] = state.Apply(canon[p]);
-      const int child = intern(state.Compose(child_map[p]));
-      if (child < 0) return m;
-      m.next[s][p] = static_cast<std::uint8_t>(child);
-    }
-  }
-  m.valid = MachineMatchesCodec(m, 3) && MachineMatchesCodec(m, 4);
-  return m;
-}
-
-const HilbertMachine& GetHilbertMachine() {
-  static const HilbertMachine machine = BuildHilbertMachine();
-  return machine;
-}
 
 /// The Morton "machine" is the trivial one-state machine: our encode puts
 /// x in the least-significant interleave slot, so visit position p IS the
 /// octant triple and every child shares the orientation.
-const HilbertMachine& GetMortonMachine() {
-  static const HilbertMachine machine = [] {
-    HilbertMachine m{};
-    for (int p = 0; p < 8; ++p) {
-      m.oct[0][p] = static_cast<std::uint8_t>(p);
-      m.next[0][p] = 0;
-    }
-    m.valid = true;
-    return m;
-  }();
-  return machine;
+constexpr CurveMachine kMortonMachine = {{{0, 1, 2, 3, 4, 5, 6, 7}},
+                                         {{0, 0, 0, 0, 0, 0, 0, 0}}};
+
+const CurveMachine& MachineOf(CellLayout layout) {
+  assert(layout != CellLayout::kRowMajor);
+  return layout == CellLayout::kMorton ? kMortonMachine : kHilbertMachine;
 }
 
-/// Coordinate-space policy for the block walk below: what one block (or
-/// one level-1 cell) outside the box contributes to the running cursor.
-/// In KEY space every key counts, so the cursor reproduces the block's
-/// base key; in RANK space only lattice cells count, so the cursor is the
-/// number of lattice cells passed in key order — i.e. the next rank.
-struct KeySpace {
-  static std::uint64_t BlockCells(std::uint32_t, std::uint32_t, std::uint32_t,
-                                  int level, const CellVec&) {
-    return std::uint64_t{1} << (3 * level);
-  }
-  static std::uint64_t CellCells(std::uint32_t, std::uint32_t, std::uint32_t,
-                                 const CellVec&) {
-    return 1;
-  }
-};
-struct RankSpace {
-  static std::uint64_t BlockCells(std::uint32_t bx, std::uint32_t by,
-                                  std::uint32_t bz, int level,
-                                  const CellVec& dims) {
-    const std::uint32_t side = 1u << level;
-    const std::uint64_t ox =
-        bx >= dims[0] ? 0 : std::min<std::uint64_t>(side, dims[0] - bx);
-    const std::uint64_t oy =
-        by >= dims[1] ? 0 : std::min<std::uint64_t>(side, dims[1] - by);
-    const std::uint64_t oz =
-        bz >= dims[2] ? 0 : std::min<std::uint64_t>(side, dims[2] - bz);
-    return ox * oy * oz;
-  }
-  static std::uint64_t CellCells(std::uint32_t cx, std::uint32_t cy,
-                                 std::uint32_t cz, const CellVec& dims) {
-    return cx < dims[0] && cy < dims[1] && cz < dims[2] ? 1 : 0;
-  }
-};
+/// Lattice cells inside the side-2^level block at (bx, by, bz) — what a
+/// pruned block advances the rank cursor by.
+std::uint64_t LatticeCells(std::uint32_t bx, std::uint32_t by,
+                           std::uint32_t bz, int level, const CellVec& dims) {
+  const std::uint32_t side = 1u << level;
+  const std::uint64_t ox =
+      bx >= dims[0] ? 0 : std::min<std::uint64_t>(side, dims[0] - bx);
+  const std::uint64_t oy =
+      by >= dims[1] ? 0 : std::min<std::uint64_t>(side, dims[1] - by);
+  const std::uint64_t oz =
+      bz >= dims[2] ? 0 : std::min<std::uint64_t>(side, dims[2] - bz);
+  return ox * oy * oz;
+}
 
-/// Key-order block walk (see the CurveRangeRuns / CurveRangeRankRuns
-/// header comments): the block at (bx, by, bz) with side 2^level is
-/// traversed by `state`'s orientation — O(1) per block, one table lookup
-/// per octant, no codec evaluation. `*cursor` carries the Space-counted
-/// cells passed so far, so at emission time it IS the block's first key
-/// (KeySpace) resp. rank (RankSpace); every block, emitted or pruned,
-/// advances it. Emission is in ascending cursor order, so EmitRun's
-/// one-back fusion yields the maximal runs directly — and under RankSpace
-/// blocks fully outside the lattice advance nothing, fusing runs across
-/// out-of-lattice key gaps.
-template <typename Space>
-void WalkBlocks(const HilbertMachine& m, int level, std::uint32_t bx,
+/// Key-order block walk (see the CurveRangeRankRuns header comment): the
+/// block at (bx, by, bz) with side 2^level is traversed by `state`'s
+/// orientation — O(1) per block, one table lookup per octant, no codec
+/// evaluation. `*cursor` counts the lattice cells passed so far, so at
+/// emission time it IS the block's first rank; every block, emitted or
+/// pruned, advances it. Emission is in ascending rank order, so EmitRun's
+/// one-back fusion yields the maximal runs directly — and blocks fully
+/// outside the lattice advance nothing, fusing runs across out-of-lattice
+/// key gaps.
+void WalkBlocks(const CurveMachine& m, int level, std::uint32_t bx,
                 std::uint32_t by, std::uint32_t bz, std::uint8_t state,
                 const CellVec& lo, const CellVec& hi, const CellVec& dims,
                 std::uint64_t* cursor, std::vector<CurveRun>* out) {
@@ -257,14 +109,14 @@ void WalkBlocks(const HilbertMachine& m, int level, std::uint32_t bx,
   if (bx > hi[0] || bx + side_minus_1 < lo[0] || by > hi[1] ||
       by + side_minus_1 < lo[1] || bz > hi[2] || bz + side_minus_1 < lo[2]) {
     // Disjoint: the block's keys are exactly a (LITMAX, BIGMIN) gap.
-    *cursor += Space::BlockCells(bx, by, bz, level, dims);
+    *cursor += LatticeCells(bx, by, bz, level, dims);
     return;
   }
   if (bx >= lo[0] && bx + side_minus_1 <= hi[0] && by >= lo[1] &&
       by + side_minus_1 <= hi[1] && bz >= lo[2] &&
       bz + side_minus_1 <= hi[2]) {
     // Contained (in the box, hence in the lattice): all 8^level cells
-    // count in either space.
+    // count.
     const std::uint64_t cells = std::uint64_t{1} << (3 * level);
     EmitRun(*cursor, *cursor + cells, out);
     *cursor += cells;
@@ -287,8 +139,8 @@ void WalkBlocks(const HilbertMachine& m, int level, std::uint32_t bx,
           cz >= lo[2] && cz <= hi[2]) {
         EmitRun(*cursor, *cursor + 1, out);
         ++*cursor;
-      } else {
-        *cursor += Space::CellCells(cx, cy, cz, dims);
+      } else if (cx < dims[0] && cy < dims[1] && cz < dims[2]) {
+        ++*cursor;
       }
     }
     return;
@@ -296,73 +148,19 @@ void WalkBlocks(const HilbertMachine& m, int level, std::uint32_t bx,
   const std::uint32_t half = 1u << (level - 1);
   for (std::uint32_t p = 0; p < 8; ++p) {
     const std::uint8_t o = m.oct[state][p];
-    WalkBlocks<Space>(m, level - 1, bx + (o & 1u) * half,
-                      by + ((o >> 1) & 1u) * half,
-                      bz + ((o >> 2) & 1u) * half, m.next[state][p], lo, hi,
-                      dims, cursor, out);
+    WalkBlocks(m, level - 1, bx + (o & 1u) * half,
+               by + ((o >> 1) & 1u) * half, bz + ((o >> 2) & 1u) * half,
+               m.next[state][p], lo, hi, dims, cursor, out);
   }
 }
 
-/// Early-exit variant of WalkBlocks<RankSpace> for the schedule anchor:
-/// stop at the FIRST in-box block — `*cursor` at that moment is the first
-/// rank the full decomposition would emit (its first run's begin). Pruned
-/// blocks advance the cursor exactly as in the full walk; the recursion
-/// unwinds as soon as any branch reports a hit.
-bool FirstRankWalk(const HilbertMachine& m, int level, std::uint32_t bx,
-                   std::uint32_t by, std::uint32_t bz, std::uint8_t state,
-                   const CellVec& lo, const CellVec& hi, const CellVec& dims,
-                   std::uint64_t* cursor) {
-  const std::uint32_t side_minus_1 = (1u << level) - 1u;
-  if (bx > hi[0] || bx + side_minus_1 < lo[0] || by > hi[1] ||
-      by + side_minus_1 < lo[1] || bz > hi[2] || bz + side_minus_1 < lo[2]) {
-    *cursor += RankSpace::BlockCells(bx, by, bz, level, dims);
-    return false;
-  }
-  if (bx >= lo[0] && bx + side_minus_1 <= hi[0] && by >= lo[1] &&
-      by + side_minus_1 <= hi[1] && bz >= lo[2] &&
-      bz + side_minus_1 <= hi[2]) {
-    return true;  // *cursor is the block's first rank.
-  }
-  assert(level > 0);
-  if (level == 1) {
-    for (std::uint32_t p = 0; p < 8; ++p) {
-      const std::uint8_t o = m.oct[state][p];
-      const std::uint32_t cx = bx + (o & 1u);
-      const std::uint32_t cy = by + ((o >> 1) & 1u);
-      const std::uint32_t cz = bz + ((o >> 2) & 1u);
-      if (cx >= lo[0] && cx <= hi[0] && cy >= lo[1] && cy <= hi[1] &&
-          cz >= lo[2] && cz <= hi[2]) {
-        return true;
-      }
-      *cursor += RankSpace::CellCells(cx, cy, cz, dims);
-    }
-    return false;
-  }
-  const std::uint32_t half = 1u << (level - 1);
-  for (std::uint32_t p = 0; p < 8; ++p) {
-    const std::uint8_t o = m.oct[state][p];
-    if (FirstRankWalk(m, level - 1, bx + (o & 1u) * half,
-                      by + ((o >> 1) & 1u) * half,
-                      bz + ((o >> 2) & 1u) * half, m.next[state][p], lo, hi,
-                      dims, cursor)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Pruning-only variant of the early-exit walk for callers that hold a
-/// cell -> rank table (MemGrid does): find the first in-box CELL in key
-/// order and return its coordinates, with NO cursor accounting at all.
-/// FirstRankWalk pays RankSpace::BlockCells — three clamps and two
-/// multiplies — on every pruned sibling so that its cursor equals the
-/// rank at the hit; here pruned blocks cost only the disjointness test,
-/// and a fully-contained block resolves by descending the curve's entry
-/// chain (octant p = 0 at every level) straight to its first cell. Rank
-/// is monotone in key over lattice cells, so this cell's table rank is
-/// exactly the rank FirstRankWalk computes — at a fraction of the cost
-/// on probes deep in the key order.
-bool FirstCellWalk(const HilbertMachine& m, int level, std::uint32_t bx,
+/// Early-exit, pruning-only walk for the schedule anchor: find the first
+/// in-box CELL in key order, with no cursor accounting at all — pruned
+/// blocks cost only the disjointness test, and a fully-contained block
+/// resolves by descending the curve's entry chain (octant p = 0 at every
+/// level) straight to its first cell. Rank is monotone in key over
+/// lattice cells, so this cell's rank is the first rank WalkBlocks emits.
+bool FirstCellWalk(const CurveMachine& m, int level, std::uint32_t bx,
                    std::uint32_t by, std::uint32_t bz, std::uint8_t state,
                    const CellVec& lo, const CellVec& hi, CellVec* cell) {
   const std::uint32_t side_minus_1 = (1u << level) - 1u;
@@ -415,183 +213,44 @@ bool FirstCellWalk(const HilbertMachine& m, int level, std::uint32_t bx,
   return false;
 }
 
-// ---------------------------------------------------------------------------
-// Codec-generic fallback: coordinate-space descent into the box's maximal
-// aligned cubes, one ENCODE per emitted block (the top 3*(bits-level) key
-// bits identify a block), then a sort-and-fuse pass. Correct for any
-// hierarchical curve; only used if the state-machine derivation ever fails
-// to reproduce the codec.
-
-template <typename EncodeFn>
-void DescendBox(int level, std::uint32_t bx, std::uint32_t by,
-                std::uint32_t bz, const CellVec& lo, const CellVec& hi,
-                const EncodeFn& encode, std::vector<CurveRun>* out) {
-  const std::uint32_t side_minus_1 = (1u << level) - 1u;
-  if (bx >= lo[0] && bx + side_minus_1 <= hi[0] && by >= lo[1] &&
-      by + side_minus_1 <= hi[1] && bz >= lo[2] &&
-      bz + side_minus_1 <= hi[2]) {
-    const std::uint64_t block_keys = std::uint64_t{1} << (3 * level);
-    const std::uint64_t first = encode(bx, by, bz) & ~(block_keys - 1);
-    out->push_back(CurveRun{first, first + block_keys});
-    return;
-  }
-  assert(level > 0);
-  const std::uint32_t half = 1u << (level - 1);
-  for (std::uint32_t child = 0; child < 8; ++child) {
-    const std::uint32_t cx = bx + ((child & 1u) != 0 ? half : 0);
-    const std::uint32_t cy = by + ((child & 2u) != 0 ? half : 0);
-    const std::uint32_t cz = bz + ((child & 4u) != 0 ? half : 0);
-    if (cx <= hi[0] && cx + half - 1 >= lo[0] && cy <= hi[1] &&
-        cy + half - 1 >= lo[1] && cz <= hi[2] && cz + half - 1 >= lo[2]) {
-      DescendBox(level - 1, cx, cy, cz, lo, hi, encode, out);
-    }
-  }
-}
-
-void SortAndFuse(std::vector<CurveRun>* out) {
-  std::sort(out->begin(), out->end(),
-            [](const CurveRun& a, const CurveRun& b) {
-              return a.begin < b.begin;
-            });
-  std::size_t w = 0;
-  for (std::size_t i = 1; i < out->size(); ++i) {
-    if ((*out)[i].begin == (*out)[w].end) {
-      (*out)[w].end = (*out)[i].end;
-    } else {
-      (*out)[++w] = (*out)[i];
-    }
-  }
-  if (!out->empty()) out->resize(w + 1);
-}
-
 }  // namespace
 
-void CurveRangeRuns(CellLayout layout, const CellVec& lo, const CellVec& hi,
-                    const CellVec& dims, int bits,
-                    std::vector<CurveRun>* out) {
-  out->clear();
-  assert(lo[0] <= hi[0] && lo[1] <= hi[1] && lo[2] <= hi[2]);
-  switch (layout) {
-    case CellLayout::kRowMajor: {
-      // key = (x * ny + y) * nz + z: every (x, y) column of the box is one
-      // run [key(x,y,lo_z), key(x,y,hi_z)]; EmitRun fuses columns, planes
-      // and ultimately the whole box when they happen to be key-adjacent
-      // (full-depth columns in a full-height plane, etc).
-      const std::uint64_t ny = dims[1];
-      const std::uint64_t nz = dims[2];
-      for (std::uint64_t x = lo[0]; x <= hi[0]; ++x) {
-        for (std::uint64_t y = lo[1]; y <= hi[1]; ++y) {
-          const std::uint64_t column = (x * ny + y) * nz;
-          EmitRun(column + lo[2], column + hi[2] + 1, out);
-        }
-      }
-      return;
-    }
-    case CellLayout::kMorton: {
-      std::uint64_t cursor = 0;
-      WalkBlocks<KeySpace>(GetMortonMachine(), bits, 0, 0, 0, /*state=*/0,
-                           lo, hi, dims, &cursor, out);
-      return;
-    }
-    case CellLayout::kHilbert: {
-      const HilbertMachine& m = GetHilbertMachine();
-      if (m.valid) {
-        std::uint64_t cursor = 0;
-        WalkBlocks<KeySpace>(m, bits, 0, 0, 0, /*state=*/0, lo, hi, dims,
-                             &cursor, out);
-      } else {
-        DescendBox(bits, 0, 0, 0, lo, hi,
-                   [bits](std::uint32_t x, std::uint32_t y, std::uint32_t z) {
-                     return HilbertEncodeCell(x, y, z, bits);
-                   },
-                   out);
-        SortAndFuse(out);
-      }
-      return;
-    }
-  }
-}
-
-bool CurveRangeRankRuns(CellLayout layout, const CellVec& lo,
+void CurveRangeRankRuns(CellLayout layout, const CellVec& lo,
                         const CellVec& hi, const CellVec& dims, int bits,
                         std::vector<CurveRun>* out) {
   out->clear();
   assert(lo[0] <= hi[0] && lo[1] <= hi[1] && lo[2] <= hi[2]);
   assert(hi[0] < dims[0] && hi[1] < dims[1] && hi[2] < dims[2]);
-  std::uint64_t cursor = 0;
-  switch (layout) {
-    case CellLayout::kRowMajor:
-      // Row-major rank IS the row-major key: the key runs are the rank
-      // runs verbatim.
-      CurveRangeRuns(layout, lo, hi, dims, bits, out);
-      return true;
-    case CellLayout::kMorton:
-      WalkBlocks<RankSpace>(GetMortonMachine(), bits, 0, 0, 0, /*state=*/0,
-                            lo, hi, dims, &cursor, out);
-      return true;
-    case CellLayout::kHilbert: {
-      const HilbertMachine& m = GetHilbertMachine();
-      if (!m.valid) return false;
-      WalkBlocks<RankSpace>(m, bits, 0, 0, 0, /*state=*/0, lo, hi, dims,
-                            &cursor, out);
-      return true;
+  if (layout == CellLayout::kRowMajor) {
+    // rank = (x * ny + y) * nz + z: every (x, y) column of the box is one
+    // run [rank(x,y,lo_z), rank(x,y,hi_z)]; EmitRun fuses columns, planes
+    // and ultimately the whole box when they happen to be adjacent
+    // (full-depth columns in a full-height plane, etc).
+    const std::uint64_t ny = dims[1];
+    const std::uint64_t nz = dims[2];
+    for (std::uint64_t x = lo[0]; x <= hi[0]; ++x) {
+      for (std::uint64_t y = lo[1]; y <= hi[1]; ++y) {
+        const std::uint64_t column = (x * ny + y) * nz;
+        EmitRun(column + lo[2], column + hi[2] + 1, out);
+      }
     }
+    return;
   }
-  return false;
+  std::uint64_t cursor = 0;
+  WalkBlocks(MachineOf(layout), bits, 0, 0, 0, /*state=*/0, lo, hi, dims,
+             &cursor, out);
 }
 
-bool CurveRangeFirstRank(CellLayout layout, const CellVec& lo,
-                         const CellVec& hi, const CellVec& dims, int bits,
-                         std::uint64_t* rank) {
+CellVec CurveRangeFirstCell(CellLayout layout, const CellVec& lo,
+                            const CellVec& hi, int bits) {
   assert(lo[0] <= hi[0] && lo[1] <= hi[1] && lo[2] <= hi[2]);
-  assert(hi[0] < dims[0] && hi[1] < dims[1] && hi[2] < dims[2]);
-  std::uint64_t cursor = 0;
-  switch (layout) {
-    case CellLayout::kRowMajor:
-      // Row-major rank is monotone per axis, so the box's first rank is the
-      // min corner's key — no walk needed.
-      *rank = (static_cast<std::uint64_t>(lo[0]) * dims[1] + lo[1]) * dims[2] +
-              lo[2];
-      return true;
-    case CellLayout::kMorton:
-      if (FirstRankWalk(GetMortonMachine(), bits, 0, 0, 0, /*state=*/0, lo,
-                        hi, dims, &cursor)) {
-        *rank = cursor;
-        return true;
-      }
-      return false;  // Unreachable for a non-empty in-lattice box.
-    case CellLayout::kHilbert: {
-      const HilbertMachine& m = GetHilbertMachine();
-      if (!m.valid) return false;
-      if (FirstRankWalk(m, bits, 0, 0, 0, /*state=*/0, lo, hi, dims,
-                        &cursor)) {
-        *rank = cursor;
-        return true;
-      }
-      return false;
-    }
-  }
-  return false;
-}
-
-bool CurveRangeFirstCell(CellLayout layout, const CellVec& lo,
-                         const CellVec& hi, int bits, CellVec* cell) {
-  assert(lo[0] <= hi[0] && lo[1] <= hi[1] && lo[2] <= hi[2]);
-  switch (layout) {
-    case CellLayout::kRowMajor:
-      // Row-major key is monotone per axis: the min corner comes first.
-      *cell = lo;
-      return true;
-    case CellLayout::kMorton:
-      return FirstCellWalk(GetMortonMachine(), bits, 0, 0, 0, /*state=*/0,
-                           lo, hi, cell);
-    case CellLayout::kHilbert: {
-      const HilbertMachine& m = GetHilbertMachine();
-      if (!m.valid) return false;
-      return FirstCellWalk(m, bits, 0, 0, 0, /*state=*/0, lo, hi, cell);
-    }
-  }
-  return false;
+  // Row-major key is monotone per axis: the min corner comes first.
+  if (layout == CellLayout::kRowMajor) return lo;
+  CellVec cell = lo;
+  [[maybe_unused]] const bool found = FirstCellWalk(
+      MachineOf(layout), bits, 0, 0, 0, /*state=*/0, lo, hi, &cell);
+  assert(found && "box outside the 2^bits cube");
+  return cell;
 }
 
 }  // namespace simspatial::core

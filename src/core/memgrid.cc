@@ -46,10 +46,14 @@ constexpr std::size_t kParallelGrain = 1024;
 /// would allocate more than ~64 MB across workers.
 constexpr std::size_t kMaxCountSlots = std::size_t{1} << 24;
 /// Probe boxes below this many cells take the zero-bookkeeping
-/// coordinate-order scan; only larger probes pay for a maximal-fusion
-/// traversal (radix-sorted rank gather or the BIGMIN run decomposition —
-/// the run-count a big probe produces is what either one amortises).
-constexpr std::size_t kRankSortMinCells = 64;
+/// coordinate-order scan; only larger probes pay for the maximal-fusion
+/// BIGMIN run decomposition (the run count a big probe produces is what
+/// it amortises).
+constexpr std::size_t kDecomposeMinCells = 64;
+/// Probes per worker chunk in the batch query engine. A probe is a whole
+/// query — microseconds of work — so chunks far below the element-kernel
+/// grain still amortise the pool dispatch.
+constexpr std::size_t kBatchProbeGrain = 8;
 /// The 13 lexicographically-forward neighbour offsets of the §4.3 sweep.
 constexpr int kForward[13][3] = {
     {1, 0, 0},  {0, 1, 0},  {0, 0, 1},  {1, 1, 0},   {1, -1, 0},
@@ -66,28 +70,29 @@ struct PairPredicate {
   }
 };
 
+/// Per-thread run buffer for the range decomposition, hoisted out of the
+/// RangeScan template: its two Sink instantiations (RangeQuery,
+/// RangeQueryCount) would otherwise each get their own thread_local copy.
+/// RangeQuery is const and may serve concurrent readers, so per-instance
+/// scratch is off limits; per-thread reuse keeps the steady state
+/// allocation-free.
+std::vector<CurveRun>& RangeScanRuns() {
+  static thread_local std::vector<CurveRun> runs;
+  return runs;
+}
+
+template <typename T>
+CellVec ToCellVec(T x, T y, T z) {
+  return CellVec{static_cast<std::uint32_t>(x), static_cast<std::uint32_t>(y),
+                 static_cast<std::uint32_t>(z)};
+}
+
 /// LSD radix sort of `*a` by the 8-bit digits of (v >> base_shift), running
 /// exactly as many passes as `bound` — the maximum possible value of
 /// v >> base_shift — occupies. Comparison-sorting curve keys/ranks costs
 /// more in branch misses than the counting passes; both rank-sort call
-/// sites (BuildCurveRanks, RangeQuery) share this. The sorted data ends in
-/// `*a`; `*scratch` is resized to match.
-/// Per-thread query scratch, hoisted out of the RangeScan template: its
-/// two Sink instantiations (RangeQuery, RangeQueryCount) would otherwise
-/// each get their own thread_local copies, doubling the retained
-/// span-sized buffers per thread. RangeQuery is const and may serve
-/// concurrent readers, so per-instance scratch is off limits; per-thread
-/// reuse keeps the steady state allocation-free.
-struct RangeScanScratch {
-  std::vector<CurveRun> runs;
-  std::vector<std::uint32_t> ranks;
-  std::vector<std::uint32_t> radix_scratch;
-};
-RangeScanScratch& GetRangeScanScratch() {
-  static thread_local RangeScanScratch scratch;
-  return scratch;
-}
-
+/// sites (BuildCurveRanks, the batch schedule) share this. The sorted data
+/// ends in `*a`; `*scratch` is resized to match.
 template <typename T>
 void RadixSortDigits(std::vector<T>* a, std::vector<T>* scratch,
                      int base_shift, std::uint64_t bound) {
@@ -209,26 +214,6 @@ void MemGrid::PartitionShards(const std::vector<std::uint32_t>& counts,
   }
 }
 
-template <typename PerRank>
-void MemGrid::LayoutShardRegions(const std::vector<std::uint32_t>& counts,
-                                 const PerRank& per_rank) {
-  for (Shard& sh : shards_) {
-    std::size_t total = 0;
-    std::size_t live = 0;
-    for (std::size_t rank = sh.rank_begin; rank < sh.rank_end; ++rank) {
-      const std::size_t cell = RankCell(rank);
-      const std::uint32_t count = counts[cell];
-      const std::uint32_t cap = SlackedCap(count);
-      per_rank(cell, static_cast<std::uint32_t>(total), cap, count);
-      total += cap;
-      live += count;
-    }
-    sh.block.assign(total, Entry{});
-    sh.layout_budget = total;
-    sh.live = live;
-  }
-}
-
 std::size_t MemGrid::ShardOfRank(std::size_t rank) const {
   if (shards_.size() == 1) return 0;
   const auto it = std::upper_bound(shard_begin_rank_.begin() + 1,
@@ -258,14 +243,9 @@ MemGrid::CellRef MemGrid::ResolveCell(std::size_t cell) {
 
 void MemGrid::CellCoords(const Vec3& p, std::int32_t* x, std::int32_t* y,
                          std::int32_t* z) const {
-  const auto clamp_axis = [&](float v, float lo, std::size_t n) {
-    const auto c = static_cast<std::int64_t>((v - lo) * inv_cell_);
-    return static_cast<std::int32_t>(
-        std::clamp<std::int64_t>(c, 0, static_cast<std::int64_t>(n) - 1));
-  };
-  *x = clamp_axis(p.x, universe_.min.x, nx_);
-  *y = clamp_axis(p.y, universe_.min.y, ny_);
-  *z = clamp_axis(p.z, universe_.min.z, nz_);
+  *x = ClampedCellCoord((p.x - universe_.min.x) * inv_cell_, nx_);
+  *y = ClampedCellCoord((p.y - universe_.min.y) * inv_cell_, ny_);
+  *z = ClampedCellCoord((p.z - universe_.min.z) * inv_cell_, nz_);
 }
 
 std::size_t MemGrid::CellOf(const Vec3& p) const {
@@ -317,11 +297,7 @@ void MemGrid::Build(std::span<const Element> elements) {
     std::size_t chunks =
         par::ChunkCount(threads_, elements.size(), kParallelGrain);
     while (chunks > 1 && chunks * regions_.size() > kMaxCountSlots) --chunks;
-    if (chunks > 1) {
-      BuildParallel(elements, chunks);
-    } else {
-      BuildSerial(elements);
-    }
+    BuildParallel(elements, chunks);
   } catch (...) {
     shards_ = std::move(stash_shards);
     shard_begin_rank_ = std::move(stash_begin_rank);
@@ -334,48 +310,21 @@ void MemGrid::Build(std::span<const Element> elements) {
   }
 }
 
-void MemGrid::BuildSerial(std::span<const Element> elements) {
+void MemGrid::BuildParallel(std::span<const Element> elements,
+                            std::size_t chunks) {
   // Pass 1: per-cell occupancy and the id range; pass 2: entry-balanced
   // shard boundaries, then per shard the region layout in layout-rank
   // order with slack; pass 3: scatter. This is the O(n) "cheap rebuild" —
-  // no per-bucket allocations, one flat block per shard.
-  std::vector<std::uint32_t> counts(regions_.size(), 0);
-  ElementId max_id = 0;
-  for (const Element& e : elements) {
-    ++counts[CellOf(e.Center())];
-    max_id = std::max(max_id, e.id);
-    GrowMaxHalfExtent(e.box);
-  }
-  PartitionShards(counts, elements.size());
-  LayoutShardRegions(counts, [&](std::size_t cell, std::uint32_t start,
-                                 std::uint32_t cap, std::uint32_t) {
-    regions_[cell] = Region{start, cap, 0};
-  });
-  slots_.assign(elements.empty() ? 0 : static_cast<std::size_t>(max_id) + 1,
-                Slot{});
-  for (const Element& e : elements) {
-    const auto cell = static_cast<std::uint32_t>(CellOf(e.Center()));
-    Region& r = regions_[cell];
-    const std::uint32_t pos = r.start + r.count++;
-    shards_[ShardOfCell(cell)].block[pos] = Entry{e.box, e.id};
-    assert(slots_[e.id].cell == kNoCell && "duplicate element id in Build");
-    slots_[e.id] = Slot{cell, pos};
-  }
-}
-
-void MemGrid::BuildParallel(std::span<const Element> elements,
-                            std::size_t chunks) {
-  // Same three passes as BuildSerial, chunk-partitioned. Entries land at
-  // the exact positions the serial scatter would choose: within a cell,
-  // chunk c's elements precede chunk c+1's and keep their input order, so
-  // the concatenation over chunks IS the input order — the layout (and
-  // therefore every downstream query result) is bit-identical to serial.
+  // no per-bucket allocations, one flat block per shard. Passes 1 and 3
+  // are chunk-partitioned; within a cell, chunk c's elements precede chunk
+  // c+1's and keep their input order, so the concatenation over chunks IS
+  // the input order — the layout (and therefore every downstream query
+  // result) is bit-identical at every chunk count.
   const std::size_t n = elements.size();
 #ifndef NDEBUG
   {
-    // Debug-parity with BuildSerial's duplicate-id assert: a duplicate id
-    // would make two scatter chunks race on the same slots_ entry, so
-    // diagnose it deterministically before fanning out.
+    // A duplicate id would make two scatter chunks race on the same
+    // slots_ entry, so diagnose it deterministically before fanning out.
     std::vector<std::uint8_t> seen;
     for (const Element& e : elements) {
       if (e.id >= seen.size()) seen.resize(static_cast<std::size_t>(e.id) + 1);
@@ -424,25 +373,36 @@ void MemGrid::BuildParallel(std::span<const Element> elements,
 
   // Pass 2 (serial): combined per-cell counts feed the entry-balanced
   // shard boundaries, then the region layout walks each shard's rank
-  // range — the identical iteration BuildSerial performs, so the layout is
-  // bit-identical to the serial build; the per-(chunk, cell) counts become
-  // shard-block write cursors for the scatter.
+  // range; the per-(chunk, cell) counts become shard-block write cursors
+  // for the scatter.
   std::vector<std::uint32_t> combined(regions_.size(), 0);
   for (std::size_t w = 0; w < chunks; ++w) {
     const std::vector<std::uint32_t>& c = counts[w];
     for (std::size_t i = 0; i < combined.size(); ++i) combined[i] += c[i];
   }
   PartitionShards(combined, n);
-  LayoutShardRegions(combined, [&](std::size_t cell, std::uint32_t start,
-                                   std::uint32_t cap, std::uint32_t count) {
-    regions_[cell] = Region{start, cap, count};
-    std::uint32_t cursor = start;
-    for (std::size_t w = 0; w < chunks; ++w) {
-      const std::uint32_t k = counts[w][cell];
-      counts[w][cell] = cursor;
-      cursor += k;
+  for (Shard& sh : shards_) {
+    std::size_t total = 0;
+    std::size_t live = 0;
+    for (std::size_t rank = sh.rank_begin; rank < sh.rank_end; ++rank) {
+      const std::size_t cell = RankCell(rank);
+      const std::uint32_t count = combined[cell];
+      const std::uint32_t cap = SlackedCap(count);
+      const auto start = static_cast<std::uint32_t>(total);
+      regions_[cell] = Region{start, cap, count};
+      std::uint32_t cursor = start;
+      for (std::size_t w = 0; w < chunks; ++w) {
+        const std::uint32_t k = counts[w][cell];
+        counts[w][cell] = cursor;
+        cursor += k;
+      }
+      total += cap;
+      live += count;
     }
-  });
+    sh.block.assign(total, Entry{});
+    sh.layout_budget = total;
+    sh.live = live;
+  }
   slots_.assign(n == 0 ? 0 : static_cast<std::size_t>(max_id) + 1, Slot{});
 
   // Pass 3 (parallel scatter): chunk cursors are disjoint by construction,
@@ -804,30 +764,24 @@ std::size_t MemGrid::ApplyUpdates(std::span<const ElementUpdate> updates) {
     staged.reserve(updates.size());
     // Classification (destination cell + half-extent of every update)
     // reads only the boxes, so it fans out across the pool; the
-    // structural phase below stays serial and is order-identical to the
-    // all-serial path — the parallel path is therefore deterministic by
-    // construction.
-    const std::size_t chunks =
-        par::ChunkCount(threads_, updates.size(), kParallelGrain);
-    if (chunks > 1) {
-      // Member scratch, not locals: a simulation calls this every step
-      // with a same-sized batch, so after the first step this path
-      // allocates nothing.
-      scratch_cells_.resize(updates.size());
-      scratch_mhe_.resize(updates.size());
-      par::ParallelChunks(
-          chunks, updates.size(),
-          [&](std::size_t, std::size_t begin, std::size_t end) {
-            SIMSPATIAL_FAILPOINT("memgrid.apply.classify.worker");
-            for (std::size_t i = begin; i < end; ++i) {
-              const AABB& box = updates[i].new_box;
-              scratch_cells_[i] =
-                  static_cast<std::uint32_t>(CellOf(box.Center()));
-              const Vec3 ext = box.Extent();
-              scratch_mhe_[i] = std::max({ext.x, ext.y, ext.z}) * 0.5f;
-            }
-          });
-    }
+    // structural phase below stays serial, so the result is identical at
+    // every chunk count. Member scratch, not locals: a simulation calls
+    // this every step with a same-sized batch, so after the first step
+    // this path allocates nothing.
+    scratch_cells_.resize(updates.size());
+    scratch_mhe_.resize(updates.size());
+    par::ParallelChunks(
+        par::ChunkCount(threads_, updates.size(), kParallelGrain),
+        updates.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
+          SIMSPATIAL_FAILPOINT("memgrid.apply.classify.worker");
+          for (std::size_t i = begin; i < end; ++i) {
+            const AABB& box = updates[i].new_box;
+            scratch_cells_[i] =
+                static_cast<std::uint32_t>(CellOf(box.Center()));
+            const Vec3 ext = box.Extent();
+            scratch_mhe_[i] = std::max({ext.x, ext.y, ext.z}) * 0.5f;
+          }
+        });
     // One serial pass: in-place writes land immediately; migrations are
     // staged so they can be grouped by destination cell. The
     // max-half-extent bound is reduced once over the whole batch instead
@@ -843,18 +797,10 @@ std::size_t MemGrid::ApplyUpdates(std::span<const ElementUpdate> updates) {
       if (u.id >= slots_.size()) continue;
       const Slot s = slots_[u.id];
       if (s.cell == kNoCell) continue;
-      if (chunks > 1) {
-        batch_mhe = std::max(batch_mhe, scratch_mhe_[i]);
-      } else {
-        const Vec3 ext = u.new_box.Extent();
-        batch_mhe = std::max({batch_mhe, ext.x * 0.5f, ext.y * 0.5f,
-                              ext.z * 0.5f});
-      }
+      batch_mhe = std::max(batch_mhe, scratch_mhe_[i]);
       ++applied;
       ++update_stats_.updates;
-      const auto new_cell =
-          chunks > 1 ? scratch_cells_[i]
-                     : static_cast<std::uint32_t>(CellOf(u.new_box.Center()));
+      const std::uint32_t new_cell = scratch_cells_[i];
       if (s.cell == kPendingCell) {
         // Same id updated twice in one batch: overwrite the staged move.
         // No journal record — the id's earlier kMigrateOut record already
@@ -1058,25 +1004,20 @@ void MemGrid::RangeScan(const AABB& range, const Sink& sink,
   // kMorton/kHilbert. A run can only fuse within one block, so shard
   // boundaries (and a mid-compaction fresh/old split) break a run and the
   // scan falls back to per-cell granularity there — the emission ORDER
-  // stays the rank order regardless, which is what keeps results
-  // bit-identical across shard counts, compaction states AND the two
-  // large-probe traversals below.
+  // is unchanged regardless, which is what keeps results bit-identical
+  // across shard counts and compaction states.
   //
-  // Three iteration orders produce those runs:
+  // Two iteration orders produce those runs:
   //   * coordinate order — zero bookkeeping. Under kRowMajor cell index
   //     order IS rank order, so fusion is maximal; under the curve
   //     layouts fusion is opportunistic (the curve's locality still makes
   //     many coordinate-adjacent probe cells rank-adjacent). Small probes
   //     (the common monitoring query) always take this path.
-  //   * rank-sorted order (RangeDecomp::kSort) — gather the probed cells'
-  //     ranks and radix-sort, so fusion is maximal for ANY layout, at
-  //     O(cells) scratch plus the sort passes per query.
-  //   * curve-range decomposition (RangeDecomp::kRuns, the default) — the
-  //     BIGMIN recursion in CurveRangeRankRuns enumerates the maximal
+  //   * curve-range decomposition (large probes on the curve layouts) —
+  //     the BIGMIN recursion in CurveRangeRankRuns enumerates the maximal
   //     RANK runs straight from the curve's orthant walk, in ascending
-  //     order. Same rank sequence as the sort — bit-identical emission —
-  //     with no per-query sort, no O(cells) gather, and no rank-map
-  //     lookups outside the per-rank region walk both paths share.
+  //     order, so fusion is maximal with no per-query sort and no rank-map
+  //     lookups outside the per-rank region walk.
   const bool single = shards_.size() == 1 && !shards_[0].compacting;
   const Entry* const single_base = shards_[0].block.data();
   constexpr std::size_t kNoRank = ~std::size_t{0};
@@ -1115,7 +1056,7 @@ void MemGrid::RangeScan(const AABB& range, const Sink& sink,
   const std::size_t span_cells = static_cast<std::size_t>(x1 - x0 + 1) *
                                  static_cast<std::size_t>(y1 - y0 + 1) *
                                  static_cast<std::size_t>(z1 - z0 + 1);
-  if (cell_of_rank_.empty() || span_cells < kRankSortMinCells) {
+  if (cell_of_rank_.empty() || span_cells < kDecomposeMinCells) {
     for (std::int32_t x = x0; x <= x1; ++x) {
       for (std::int32_t y = y0; y <= y1; ++y) {
         const std::size_t base = CellIndex(x, y, z0);
@@ -1125,46 +1066,14 @@ void MemGrid::RangeScan(const AABB& range, const Sink& sink,
       }
     }
   } else {
-    bool decomposed = false;
-    if (config_.decomp == RangeDecomp::kRuns) {
-      std::vector<CurveRun>& runs = GetRangeScanScratch().runs;
-      const CellVec lo{static_cast<std::uint32_t>(x0),
-                       static_cast<std::uint32_t>(y0),
-                       static_cast<std::uint32_t>(z0)};
-      const CellVec hi{static_cast<std::uint32_t>(x1),
-                       static_cast<std::uint32_t>(y1),
-                       static_cast<std::uint32_t>(z1)};
-      const CellVec dims{static_cast<std::uint32_t>(nx_),
-                         static_cast<std::uint32_t>(ny_),
-                         static_cast<std::uint32_t>(nz_)};
-      if (CurveRangeRankRuns(config_.layout, lo, hi, dims, curve_bits_,
-                             &runs)) {
-        decomposed = true;
-        for (const CurveRun& rr : runs) {
-          for (std::size_t rank = rr.begin; rank < rr.end; ++rank) {
-            fuse_cell(cell_of_rank_[rank], rank);
-          }
-        }
+    std::vector<CurveRun>& runs = RangeScanRuns();
+    CurveRangeRankRuns(config_.layout, ToCellVec(x0, y0, z0),
+                       ToCellVec(x1, y1, z1), ToCellVec(nx_, ny_, nz_),
+                       curve_bits_, &runs);
+    for (const CurveRun& rr : runs) {
+      for (std::size_t rank = rr.begin; rank < rr.end; ++rank) {
+        fuse_cell(cell_of_rank_[rank], rank);
       }
-    }
-    if (!decomposed) {
-      std::vector<std::uint32_t>& ranks = GetRangeScanScratch().ranks;
-      std::vector<std::uint32_t>& radix_scratch =
-          GetRangeScanScratch().radix_scratch;
-      ranks.clear();
-      ranks.reserve(span_cells);
-      for (std::int32_t x = x0; x <= x1; ++x) {
-        for (std::int32_t y = y0; y <= y1; ++y) {
-          const std::size_t base = CellIndex(x, y, z0);
-          for (std::int32_t z = z0; z <= z1; ++z) {
-            ranks.push_back(static_cast<std::uint32_t>(
-                CellRank(base + static_cast<std::size_t>(z - z0))));
-          }
-        }
-      }
-      RadixSortDigits(&ranks, &radix_scratch, /*base_shift=*/0,
-                      /*bound=*/regions_.size() - 1);
-      for (const std::uint32_t rank : ranks) fuse_cell(RankCell(rank), rank);
     }
   }
   scan_run(run_base, run_begin, run_len);
@@ -1384,16 +1293,10 @@ void ServeScheduleSlice(const Probes& probes,
 template <typename Probes, typename Slots, typename ServeOne>
 void ServeRankScheduled(const Probes& probes,
                         const std::vector<std::uint64_t>& order,
-                        std::uint32_t threads, std::size_t grain,
-                        Slots* slots, QueryCounters* c,
-                        const ServeOne& serve_one) {
+                        std::uint32_t threads, Slots* slots,
+                        QueryCounters* c, const ServeOne& serve_one) {
   const std::size_t n = order.size();
-  const std::size_t chunks =
-      threads <= 1 ? 1 : par::ChunkCount(threads, n, grain);
-  if (chunks <= 1) {
-    ServeScheduleSlice(probes, order, 0, n, slots, c, serve_one);
-    return;
-  }
+  const std::size_t chunks = par::ChunkCount(threads, n, kBatchProbeGrain);
   std::vector<QueryCounters> part(chunks);
   par::ParallelChunks(chunks, n,
                       [&](std::size_t w, std::size_t b, std::size_t e) {
@@ -1413,26 +1316,19 @@ std::size_t MemGrid::RangeAnchorRank(const AABB& range) const {
   CellCoords(probe.min, &x0, &y0, &z0);
   CellCoords(probe.max, &x1, &y1, &z1);
   if (x1 < x0 || y1 < y0 || z1 < z0) return 0;
-  const std::size_t corner = CellIndex(x0, y0, z0);
-  if (cell_of_rank_.empty()) return corner;  // kRowMajor: rank IS index.
-  const CellVec lo{static_cast<std::uint32_t>(x0),
-                   static_cast<std::uint32_t>(y0),
-                   static_cast<std::uint32_t>(z0)};
-  const CellVec hi{static_cast<std::uint32_t>(x1),
-                   static_cast<std::uint32_t>(y1),
-                   static_cast<std::uint32_t>(z1)};
+  // kRowMajor: rank IS the index, and the min corner comes first.
+  if (cell_of_rank_.empty()) return CellIndex(x0, y0, z0);
   // The pruning-only first-CELL walk plus one rank_of_cell_ read is the
-  // same rank CurveRangeFirstRank computes (rank is monotone in key over
-  // lattice cells, and the box is clamped in-lattice) without the
+  // first rank the decomposition would emit (rank is monotone in key over
+  // lattice cells, and the box is clamped in-lattice) without any
   // per-pruned-block lattice-overlap accounting — the anchor has to be
   // far cheaper than the probe it schedules.
-  CellVec cell;
-  if (CurveRangeFirstCell(config_.layout, lo, hi, curve_bits_, &cell)) {
-    return rank_of_cell_[CellIndex(static_cast<std::int32_t>(cell[0]),
-                                   static_cast<std::int32_t>(cell[1]),
-                                   static_cast<std::int32_t>(cell[2]))];
-  }
-  return rank_of_cell_[corner];
+  const CellVec cell =
+      CurveRangeFirstCell(config_.layout, ToCellVec(x0, y0, z0),
+                          ToCellVec(x1, y1, z1), curve_bits_);
+  return rank_of_cell_[CellIndex(static_cast<std::int32_t>(cell[0]),
+                                 static_cast<std::int32_t>(cell[1]),
+                                 static_cast<std::int32_t>(cell[2]))];
 }
 
 void MemGrid::RangeQueryBatch(std::span<const AABB> probes,
@@ -1449,8 +1345,7 @@ void MemGrid::RangeQueryBatch(std::span<const AABB> probes,
   const auto order = RankOrderedSchedule(
       probes.size(), regions_.size() - 1,
       [&](std::size_t i) { return RangeAnchorRank(probes[i]); });
-  ServeRankScheduled(probes, order, threads_, config_.batch_probe_grain,
-                     out, &c,
+  ServeRankScheduled(probes, order, threads_, out, &c,
                      [&](std::size_t p, std::vector<ElementId>* slot,
                          QueryCounters* delta) {
                        RangeQuery(probes[p], slot, delta);
@@ -1469,8 +1364,7 @@ std::size_t MemGrid::RangeQueryCountBatch(std::span<const AABB> probes,
   const auto order = RankOrderedSchedule(
       probes.size(), regions_.size() - 1,
       [&](std::size_t i) { return RangeAnchorRank(probes[i]); });
-  ServeRankScheduled(probes, order, threads_, config_.batch_probe_grain,
-                     counts, &c,
+  ServeRankScheduled(probes, order, threads_, counts, &c,
                      [&](std::size_t p, std::size_t* slot,
                          QueryCounters* delta) {
                        *slot = RangeQueryCount(probes[p], delta);
@@ -1493,8 +1387,7 @@ void MemGrid::KnnQueryBatch(std::span<const Vec3> points, std::size_t k,
   const auto order = RankOrderedSchedule(
       points.size(), regions_.size() - 1,
       [&](std::size_t i) { return CellRank(CellOf(points[i])); });
-  ServeRankScheduled(points, order, threads_, config_.batch_probe_grain,
-                     out, &c,
+  ServeRankScheduled(points, order, threads_, out, &c,
                      [&](std::size_t p, std::vector<ElementId>* slot,
                          QueryCounters* delta) {
                        KnnQuery(points[p], k, slot, delta);
@@ -1583,31 +1476,29 @@ void MemGrid::SelfJoin(float eps,
   // each pair belongs to exactly one origin cell; concatenating range
   // outputs in rank order reproduces the serial emission order
   // pair-for-pair at every thread AND shard count. Tiny joins (the
-  // per-step monitoring path at small n) stay serial — pool dispatch and
-  // per-range buffers would dominate a microsecond-scale sweep.
+  // per-step monitoring path at small n) run as one chunk on the caller —
+  // pool dispatch and per-range buffers would dominate a
+  // microsecond-scale sweep. Chunk 0 emits straight into *out, later
+  // chunks into private parts appended in chunk order.
   const std::size_t cells = regions_.size();
   const std::size_t chunks =
       size_ < kParallelGrain ? 1
                              : par::ChunkCount(threads_, cells, /*grain=*/1);
-  if (chunks <= 1) {
-    SweepRanks(0, cells, rx, ry, rz, /*fast13=*/reach == 1, eps, out, &c);
-  } else {
-    std::vector<std::vector<std::pair<ElementId, ElementId>>> parts(chunks);
-    std::vector<QueryCounters> part_counters(chunks);
-    par::ParallelChunks(chunks, cells,
-                        [&](std::size_t w, std::size_t begin,
-                            std::size_t end) {
-                          SweepRanks(begin, end, rx, ry, rz,
-                                     /*fast13=*/reach == 1, eps, &parts[w],
-                                     &part_counters[w]);
-                        });
-    std::size_t total_pairs = out->size();
-    for (const auto& part : parts) total_pairs += part.size();
-    out->reserve(total_pairs);
-    for (std::size_t w = 0; w < chunks; ++w) {
-      out->insert(out->end(), parts[w].begin(), parts[w].end());
-      c += part_counters[w];
-    }
+  std::vector<std::vector<std::pair<ElementId, ElementId>>> parts(chunks);
+  std::vector<QueryCounters> part_counters(chunks);
+  par::ParallelChunks(chunks, cells,
+                      [&](std::size_t w, std::size_t begin, std::size_t end) {
+                        SweepRanks(begin, end, rx, ry, rz,
+                                   /*fast13=*/reach == 1, eps,
+                                   w == 0 ? out : &parts[w],
+                                   &part_counters[w]);
+                      });
+  std::size_t total_pairs = out->size();
+  for (const auto& part : parts) total_pairs += part.size();
+  out->reserve(total_pairs);
+  for (std::size_t w = 0; w < chunks; ++w) {
+    out->insert(out->end(), parts[w].begin(), parts[w].end());
+    c += part_counters[w];
   }
   c.results += out->size();
 }
@@ -1661,14 +1552,14 @@ void MemGrid::SweepRanks(std::size_t rank_begin, std::size_t rank_end, int rx,
       // neighbourhood splits into the same-column cap {0}x{0}x[1,rz], the
       // same-plane strip {0}x[1,ry]x[-rz,rz] and the bulk box
       // [1,rx]x[-ry,ry]x[-rz,rz]. The two thin slices stay coordinate
-      // loops; under a curve layout with the run decomposition enabled,
-      // the bulk box — the dominant cost at widened reach — reuses
-      // CurveRangeRuns so its neighbour regions are probed in rank order
-      // (storage-sequential streams instead of a scatter per offset).
-      // Pair totals and counters are identical either way; only the
-      // emission ORDER inside the bulk box follows the rank order, which
-      // is thread- and shard-count invariant (the decomposition is a pure
-      // function of the probe box and the codec).
+      // loops; under a curve layout the bulk box — the dominant cost at
+      // widened reach — reuses CurveRangeRankRuns so its neighbour regions
+      // are probed in rank order (storage-sequential streams instead of a
+      // scatter per offset). Pair totals and counters match the
+      // coordinate loop; only the emission ORDER inside the bulk box
+      // follows the rank order, which is thread- and shard-count
+      // invariant (the decomposition is a pure function of the probe box
+      // and the curve).
       for (int dz = 1; dz <= rz; ++dz) visit(0, 0, dz);
       for (int dy = 1; dy <= ry; ++dy) {
         for (int dz = -rz; dz <= rz; ++dz) visit(0, dy, dz);
@@ -1689,24 +1580,11 @@ void MemGrid::SweepRanks(std::size_t rank_begin, std::size_t rank_end, int rx,
                                          nz_ - 1);
         const std::size_t box_cells =
             (bx1 - bx0 + 1) * (by1 - by0 + 1) * (bz1 - bz0 + 1);
-        static thread_local std::vector<CurveRun> fwd_runs;
-        bool decomposed = false;
-        if (!cell_of_rank_.empty() &&
-            config_.decomp == RangeDecomp::kRuns &&
-            box_cells >= kRankSortMinCells) {
-          const CellVec lo{static_cast<std::uint32_t>(bx0),
-                           static_cast<std::uint32_t>(by0),
-                           static_cast<std::uint32_t>(bz0)};
-          const CellVec hi{static_cast<std::uint32_t>(bx1),
-                           static_cast<std::uint32_t>(by1),
-                           static_cast<std::uint32_t>(bz1)};
-          const CellVec dims{static_cast<std::uint32_t>(nx_),
-                             static_cast<std::uint32_t>(ny_),
-                             static_cast<std::uint32_t>(nz_)};
-          decomposed = CurveRangeRankRuns(config_.layout, lo, hi, dims,
-                                          curve_bits_, &fwd_runs);
-        }
-        if (decomposed) {
+        if (!cell_of_rank_.empty() && box_cells >= kDecomposeMinCells) {
+          static thread_local std::vector<CurveRun> fwd_runs;
+          CurveRangeRankRuns(config_.layout, ToCellVec(bx0, by0, bz0),
+                             ToCellVec(bx1, by1, bz1), ToCellVec(nx_, ny_, nz_),
+                             curve_bits_, &fwd_runs);
           for (const CurveRun& rr : fwd_runs) {
             for (std::size_t r = rr.begin; r < rr.end; ++r) {
               const std::size_t other_cell = cell_of_rank_[r];

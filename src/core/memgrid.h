@@ -113,8 +113,8 @@ struct MemGridConfig {
   /// counting scatter), SelfJoin (rank-range partitioned sweep) and
   /// ApplyUpdates (parallel migration classification). The default
   /// (par::kThreadsAuto) resolves to std::thread::hardware_concurrency();
-  /// 0 preserves the serial paths verbatim (1 is equivalent: a one-chunk
-  /// partition IS the serial loop). Every parallel path is deterministic:
+  /// 0 and 1 run every kernel as a single chunk on the calling thread (the
+  /// same code path, partitioned once). Every path is deterministic:
   /// results are element-for-element identical across thread counts.
   std::uint32_t threads = par::kThreadsAuto;
   /// Order of cell regions in the slack-CSR blocks (see the header
@@ -137,27 +137,6 @@ struct MemGridConfig {
   /// re-layout triggers). With a budget, steady-state churn is reclaimed a
   /// few regions at a time and never pays a re-layout stall.
   std::uint32_t compact_regions_per_batch = 0;
-  /// How large range probes on the curve layouts enumerate their fused
-  /// contiguous-rank runs: kRuns (default) decomposes the probe box
-  /// directly from the curve's orthant walk (BIGMIN-style,
-  /// CurveRangeRankRuns — no per-query sort, no O(cells) scratch), kSort
-  /// keeps the legacy radix-sorted rank gather. Purely a traversal knob:
-  /// RangeQuery/RangeQueryCount results, emission order and query
-  /// counters are bit-identical between the two, and SelfJoin emits the
-  /// identical pair SET and counters — though inside a widened-reach
-  /// sweep's bulk forward box the pair ORDER follows the rank order under
-  /// kRuns rather than the coordinate order (all pinned by the
-  /// decomposition-vs-sort differential battery). kRowMajor (whose
-  /// coordinate scan already visits ranks in order) ignores it. Small
-  /// probes fall back to the coordinate-order scan either way.
-  RangeDecomp decomp = RangeDecomp::kRuns;
-  /// Probes per worker chunk in the batch query engine
-  /// (RangeQueryBatch / RangeQueryCountBatch / KnnQueryBatch). A probe is
-  /// a whole query — microseconds of work — so chunks far below the
-  /// element-kernel grain still amortise the pool dispatch; raising it
-  /// trades fan-out for longer per-worker rank runs. Purely a scheduling
-  /// knob: batch results are bit-identical at every value.
-  std::uint32_t batch_probe_grain = 8;
 };
 
 struct MemGridShape {
@@ -273,8 +252,9 @@ class MemGrid {
   /// `out` bit-identically to what the per-probe RangeQuery(probes[i])
   /// emits (same ids, same order) and accumulating the identical counter
   /// totals. Internally each probe gets an anchor rank — the BIGMIN
-  /// first-interval begin of its inflated cell box (CurveRangeFirstRank:
-  /// the first rank its traversal will touch) — and the batch is
+  /// first-interval begin of its inflated cell box (the rank of
+  /// CurveRangeFirstCell: the first rank its traversal will touch) — and
+  /// the batch is
   /// LSD-radix-sorted by (anchor, arrival index). Shards are contiguous
   /// rank ranges, so that IS (shard, rank) order: the walk visits shards
   /// in rank order, consecutive probes stream overlapping regions while
@@ -284,8 +264,8 @@ class MemGrid {
   /// partitions — are fanned across the thread pool into disjoint
   /// per-probe result slots. Purely a throughput knob: results are
   /// bit-identical to the per-probe loop across layouts x shards x
-  /// threads x decomp x compaction states (pinned by the batch
-  /// determinism battery).
+  /// threads x compaction states (pinned by the batch determinism
+  /// battery).
   void RangeQueryBatch(std::span<const AABB> probes,
                        std::vector<std::vector<ElementId>>* out,
                        QueryCounters* counters = nullptr) const;
@@ -435,15 +415,6 @@ class MemGrid {
   /// descriptors.
   void PartitionShards(const std::vector<std::uint32_t>& counts,
                        std::size_t total);
-  /// Walk every shard's rank range in order, computing each region's
-  /// shard-relative start and slacked cap from `counts`, then size the
-  /// shard's block and reset its accounting. The ONE definition of the
-  /// layout math both Build paths share, so the serial and parallel
-  /// layouts are bit-identical by construction. `per_rank(cell, start,
-  /// cap, count)` writes the Region plus caller-specific bookkeeping.
-  template <typename PerRank>
-  void LayoutShardRegions(const std::vector<std::uint32_t>& counts,
-                          const PerRank& per_rank);
   /// Per-cell capacity formula after a (re)layout.
   std::uint32_t SlackedCap(std::uint32_t count) const;
 
@@ -488,24 +459,21 @@ class MemGrid {
 
   /// The shared RangeQuery/RangeQueryCount traversal: stream the probed
   /// cells' regions as fused contiguous-rank runs and hand every entry
-  /// whose box intersects `range` to `sink(const Entry&)`, in rank order.
-  /// Three traversals produce the same emission (bit-identical ids, order
-  /// and counters): the coordinate-order scan (small probes, and all
-  /// kRowMajor probes — cell order IS rank order there), the radix-sorted
-  /// rank gather (RangeDecomp::kSort) and the BIGMIN curve-range
-  /// decomposition (RangeDecomp::kRuns), which enumerates the fused rank
-  /// intervals straight from the curve's orthant walk via
-  /// CurveRangeRankRuns.
+  /// whose box intersects `range` to `sink(const Entry&)`. Two traversals
+  /// visit the same cell set (identical ids and counters): the
+  /// coordinate-order scan (small probes, and all kRowMajor probes — cell
+  /// order IS rank order there) and, for large probes on the curve
+  /// layouts, the BIGMIN curve-range decomposition, which enumerates the
+  /// fused rank intervals straight from the curve's orthant walk via
+  /// CurveRangeRankRuns and so emits in rank order.
   template <typename Sink>
   void RangeScan(const AABB& range, const Sink& sink,
                  QueryCounters& c) const;
 
   /// Schedule anchor of a range probe for the batch engine: the first rank
-  /// a rank-order traversal of the probe touches — the BIGMIN
-  /// first-interval begin of the inflated cell box (CurveRangeFirstRank),
-  /// falling back to the min-corner cell's rank when the curve walk is
-  /// unavailable (and the min-corner cell INDEX under kRowMajor, where
-  /// that IS the first rank for free). Uses the
+  /// a rank-order traversal of the probe touches — the rank of the
+  /// inflated cell box's CurveRangeFirstCell (the min-corner cell INDEX
+  /// under kRowMajor, where that IS the first rank for free). Uses the
   /// SAME normalisation as RangeScan (probe inflation, lattice clamp), so
   /// the anchor is consistent with the traversal it schedules. Probes whose
   /// inflated box misses the lattice anchor at rank 0.
@@ -522,11 +490,9 @@ class MemGrid {
                   std::vector<std::pair<ElementId, ElementId>>* out,
                   QueryCounters* c) const;
 
-  /// Serial counting scatter (the pre-parallel Build body, kept verbatim
-  /// for threads <= 1) and its chunked parallel counterpart. Both lay
-  /// regions out in layout-rank order per shard and are bit-identical to
-  /// each other.
-  void BuildSerial(std::span<const Element> elements);
+  /// Chunked counting scatter (one chunk runs inline on the caller): lays
+  /// regions out in layout-rank order per shard, bit-identically at every
+  /// chunk count.
   void BuildParallel(std::span<const Element> elements, std::size_t chunks);
 
   /// ApplyUpdates undo journal: one record per logical mutation, in batch

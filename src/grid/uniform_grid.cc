@@ -32,14 +32,10 @@ UniformGrid::UniformGrid(const AABB& universe, float cell_size)
 CellCoord UniformGrid::CoordOf(const Vec3& p) const { return ClampedCoord(p); }
 
 CellCoord UniformGrid::ClampedCoord(const Vec3& p) const {
-  const auto clamp_axis = [&](float v, float lo, std::size_t n) {
-    const auto c = static_cast<std::int64_t>((v - lo) * inv_cell_size_);
-    return static_cast<std::int32_t>(
-        std::clamp<std::int64_t>(c, 0, static_cast<std::int64_t>(n) - 1));
-  };
-  return CellCoord{clamp_axis(p.x, universe_.min.x, nx_),
-                   clamp_axis(p.y, universe_.min.y, ny_),
-                   clamp_axis(p.z, universe_.min.z, nz_)};
+  return CellCoord{
+      ClampedCellCoord((p.x - universe_.min.x) * inv_cell_size_, nx_),
+      ClampedCellCoord((p.y - universe_.min.y) * inv_cell_size_, ny_),
+      ClampedCellCoord((p.z - universe_.min.z) * inv_cell_size_, nz_)};
 }
 
 void UniformGrid::CoordRange(const AABB& box, CellCoord* lo,

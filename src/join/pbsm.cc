@@ -31,9 +31,7 @@ struct GridDims {
   std::int32_t nz = 1;
 
   std::int32_t Clamp(float v, float lo, std::int32_t n) const {
-    const auto c = static_cast<std::int64_t>((v - lo) * inv_cell);
-    return static_cast<std::int32_t>(
-        std::clamp<std::int64_t>(c, 0, n - 1));
+    return ClampedCellCoord((v - lo) * inv_cell, static_cast<std::size_t>(n));
   }
   void CellOf(const Vec3& p, std::int32_t* x, std::int32_t* y,
               std::int32_t* z) const {

@@ -20,14 +20,19 @@ float LooseOctree::CellSize(std::uint32_t level) const {
 LooseOctree::CellKey LooseOctree::CellAt(std::uint32_t level,
                                          const Vec3& p) const {
   const float inv = 1.0f / CellSize(level);
-  // Floor (not clamp): centres slightly outside the universe keep working.
-  return CellKey{level,
-                 static_cast<std::int32_t>(
-                     std::floor((p.x - universe_.min.x) * inv)),
-                 static_cast<std::int32_t>(
-                     std::floor((p.y - universe_.min.y) * inv)),
-                 static_cast<std::int32_t>(
-                     std::floor((p.z - universe_.min.z) * inv))};
+  // Floor (not clamp to the universe): centres slightly outside it keep
+  // working. The floor is clamped in float to the int32 range BEFORE the
+  // cast — converting an out-of-range or NaN float is undefined. Every
+  // value the cast can represent is kept as is; NaN lands in cell 0.
+  const auto axis = [inv](float v, float lo) {
+    constexpr float kMin = -2147483648.0f;  // INT32_MIN, exact.
+    constexpr float kMax = 2147483520.0f;   // Largest float below 2^31.
+    const float f = std::floor((v - lo) * inv);
+    return std::isnan(f) ? 0 : static_cast<std::int32_t>(
+                                   std::clamp(f, kMin, kMax));
+  };
+  return CellKey{level, axis(p.x, universe_.min.x),
+                 axis(p.y, universe_.min.y), axis(p.z, universe_.min.z)};
 }
 
 LooseOctree::CellKey LooseOctree::CellFor(const AABB& box) const {
@@ -109,6 +114,9 @@ void LooseOctree::RangeQuery(const AABB& range, std::vector<ElementId>* out,
     const float half = CellSize(level) * 0.5f;
     const CellKey lo = CellAt(level, range.min - Vec3(half, half, half));
     const CellKey hi = CellAt(level, range.max + Vec3(half, half, half));
+    // An inverted cell span probes no cell; skipping it also keeps the
+    // span arithmetic below from overflowing on clamped extreme keys.
+    if (hi.x < lo.x || hi.y < lo.y || hi.z < lo.z) continue;
     for (std::int32_t x = lo.x; x <= hi.x; ++x) {
       for (std::int32_t y = lo.y; y <= hi.y; ++y) {
         for (std::int32_t z = lo.z; z <= hi.z; ++z) {

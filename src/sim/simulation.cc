@@ -95,8 +95,7 @@ Simulation::Simulation(std::vector<Element> elements, const AABB& universe,
             .threads = config_.index_threads,
             .layout = config_.index_layout,
             .shards = config_.index_shards,
-            .compact_regions_per_batch = config_.index_compact_regions,
-            .decomp = config_.index_decomp});
+            .compact_regions_per_batch = config_.index_compact_regions});
     assert(index_ != nullptr && "unknown index name");
     index_->Build(elements_, universe_);
     updates_.reserve(elements_.size());

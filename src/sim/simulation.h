@@ -93,8 +93,8 @@ const char* ToString(MaintenancePolicy policy);
 struct SimulationConfig {
   std::string index_name = "memgrid";
   /// Worker threads handed to the index (core::IndexOptions::threads):
-  /// par::kThreadsAuto resolves to the hardware concurrency, 0 keeps the
-  /// index's serial paths. Parallel-capable structures (MemGrid) use it for
+  /// par::kThreadsAuto resolves to the hardware concurrency, 0 and 1 run
+  /// on the calling thread. Parallel-capable structures (MemGrid) use it for
   /// Build / ApplyUpdates / SelfJoin; others ignore it.
   std::uint32_t index_threads = par::kThreadsAuto;
   /// Cell-region storage order for the base MemGrid profiles
@@ -110,11 +110,6 @@ struct SimulationConfig {
   /// (core::IndexOptions::compact_regions_per_batch): regions reclaimed
   /// per maintenance step; 0 leaves compaction to the re-layout triggers.
   std::uint32_t index_compact_regions = 0;
-  /// Large-probe traversal for the MemGrid profiles' curve layouts
-  /// (core::IndexOptions::decomp): kRuns decomposes probes via the BIGMIN
-  /// curve recursion, kSort keeps the radix-sorted rank gather. Step
-  /// results are identical either way.
-  core::RangeDecomp index_decomp = core::RangeDecomp::kRuns;
   MaintenancePolicy policy = MaintenancePolicy::kIncrementalUpdate;
   /// Serve the per-step monitoring probes through the index's batch entry
   /// point (RangeQueryBatch) instead of one RangeQuery per probe. Purely a

@@ -395,16 +395,17 @@ TEST(MemGridTest, SelfJoinWidensReachWhenCellsAreTooSmall) {
   }
 }
 
-// Decomposition-vs-sort differential battery: RangeQuery / RangeQueryCount
-// must be BIT-IDENTICAL (ids, emission order, counters) between the BIGMIN
-// curve-range decomposition (RangeDecomp::kRuns) and the legacy
-// radix-sorted rank gather (kSort) across layouts x shards x threads, on a
-// pristine build, after relocation churn, and with an incremental
-// compaction pass caught mid-flight — plus the degenerate probes (empty /
-// inverted boxes, single cell, zero-volume planes, full universe, boxes
-// clipped at the universe faces). Runs under the "determinism" ctest label,
-// so it is also TSan workload.
-TEST(MemGridTest, DecompositionMatchesSortBitIdentical) {
+// Curve-layout differential battery: a large probe on a curve layout walks
+// the BIGMIN curve-range decomposition (CurveRangeRankRuns), kRowMajor the
+// coordinate-order scan. Both visit the same cell set, so ids (sorted —
+// emission order follows each layout's rank order) and the nodes_visited /
+// element_tests / bytes_read counters must match a kRowMajor grid built
+// from the same elements, across shards x threads, on a pristine build and
+// with an incremental compaction pass caught mid-flight — plus the
+// degenerate probes (empty / inverted boxes, single cell, zero-volume
+// planes, full universe, boxes clipped at the universe faces). Runs under
+// the "determinism" ctest label, so it is also TSan workload.
+TEST(MemGridTest, CurveDecompositionMatchesRowMajor) {
   const auto elems =
       GenerateClusteredBoxes(6000, kUniverse, 8, 6.0f, 0.05f, 0.6f);
   Rng rng(95);
@@ -423,33 +424,29 @@ TEST(MemGridTest, DecompositionMatchesSortBitIdentical) {
   probes.push_back(AABB(Vec3(7, 7, 7), Vec3(3, 3, 3)));  // Fully inverted.
   probes.push_back(AABB());                              // Default empty.
 
-  const auto compare = [&](const MemGrid& runs_grid, const MemGrid& sort_grid,
+  const auto compare = [&](const MemGrid& curve_grid, const MemGrid& row_grid,
                            const std::vector<Element>& mirror,
                            const char* when) {
     for (std::size_t p = 0; p < probes.size(); ++p) {
-      std::vector<ElementId> got_runs, got_sort;
-      QueryCounters c_runs, c_sort;
-      runs_grid.RangeQuery(probes[p], &got_runs, &c_runs);
-      sort_grid.RangeQuery(probes[p], &got_sort, &c_sort);
-      // Unsorted: the emission ORDER itself must match.
-      ASSERT_EQ(got_runs, got_sort) << when << " probe " << p;
-      ASSERT_EQ(c_runs.nodes_visited, c_sort.nodes_visited)
+      std::vector<ElementId> got_curve, got_row;
+      QueryCounters c_curve, c_row;
+      curve_grid.RangeQuery(probes[p], &got_curve, &c_curve);
+      row_grid.RangeQuery(probes[p], &got_row, &c_row);
+      ASSERT_EQ(Sorted(got_curve), Sorted(got_row)) << when << " probe " << p;
+      ASSERT_EQ(c_curve.nodes_visited, c_row.nodes_visited)
           << when << " probe " << p;
-      ASSERT_EQ(c_runs.element_tests, c_sort.element_tests)
+      ASSERT_EQ(c_curve.element_tests, c_row.element_tests)
           << when << " probe " << p;
-      ASSERT_EQ(c_runs.bytes_read, c_sort.bytes_read)
+      ASSERT_EQ(c_curve.bytes_read, c_row.bytes_read)
           << when << " probe " << p;
-      ASSERT_EQ(Sorted(got_runs), Sorted(ScanRange(mirror, probes[p])))
+      ASSERT_EQ(Sorted(got_curve), Sorted(ScanRange(mirror, probes[p])))
           << when << " probe " << p;
-      ASSERT_EQ(runs_grid.RangeQueryCount(probes[p]), got_runs.size())
-          << when << " probe " << p;
-      ASSERT_EQ(sort_grid.RangeQueryCount(probes[p]), got_sort.size())
+      ASSERT_EQ(curve_grid.RangeQueryCount(probes[p]), got_curve.size())
           << when << " probe " << p;
     }
   };
 
-  for (const CellLayout layout :
-       {CellLayout::kRowMajor, CellLayout::kMorton, CellLayout::kHilbert}) {
+  for (const CellLayout layout : {CellLayout::kMorton, CellLayout::kHilbert}) {
     for (const std::uint32_t shards : {1u, 5u}) {
       for (const std::uint32_t threads : {0u, 2u}) {
         SCOPED_TRACE(::testing::Message()
@@ -457,24 +454,20 @@ TEST(MemGridTest, DecompositionMatchesSortBitIdentical) {
                      << " threads=" << threads);
         MemGridConfig cfg;
         cfg.cell_size = 3.0f;
-        cfg.layout = layout;
         cfg.shards = shards;
         cfg.threads = threads;
         cfg.compact_regions_per_batch = 2;  // Slow passes: easy to catch.
-        cfg.decomp = RangeDecomp::kRuns;
-        MemGrid runs_grid(kUniverse, cfg);
-        cfg.decomp = RangeDecomp::kSort;
-        MemGrid sort_grid(kUniverse, cfg);
+        MemGrid row_grid(kUniverse, cfg);
+        cfg.layout = layout;
+        MemGrid curve_grid(kUniverse, cfg);
         auto mirror = elems;
-        runs_grid.Build(mirror);
-        sort_grid.Build(mirror);
-        compare(runs_grid, sort_grid, mirror, "pristine");
+        curve_grid.Build(mirror);
+        row_grid.Build(mirror);
+        compare(curve_grid, row_grid, mirror, "pristine");
 
         // Drive identical churn into both grids until an incremental
-        // compaction pass is caught in flight (decomp does not touch the
-        // mutation paths, so the two storage states stay identical and
-        // the comparison above stays exact — now straddling the fresh/old
-        // block split).
+        // compaction pass is caught in flight on the curve grid, so the
+        // comparison above straddles its fresh/old block split.
         Rng churn(96);
         std::vector<ElementUpdate> batch;
         bool caught_mid_pass = false;
@@ -487,30 +480,28 @@ TEST(MemGridTest, DecompositionMatchesSortBitIdentical) {
               batch.emplace_back(e.id, e.box);
             }
           }
-          ASSERT_EQ(runs_grid.ApplyUpdates(batch), batch.size());
-          ASSERT_EQ(sort_grid.ApplyUpdates(batch), batch.size());
-          caught_mid_pass = runs_grid.Shape().compacting_shards > 0;
+          ASSERT_EQ(curve_grid.ApplyUpdates(batch), batch.size());
+          ASSERT_EQ(row_grid.ApplyUpdates(batch), batch.size());
+          caught_mid_pass = curve_grid.Shape().compacting_shards > 0;
         }
         // The churn above reliably leaves a pass in flight within a couple
         // of rounds; assert it so the mid-compaction coverage cannot
         // silently erode.
         ASSERT_TRUE(caught_mid_pass);
-        ASSERT_GT(sort_grid.Shape().compacting_shards, 0u);
-        compare(runs_grid, sort_grid, mirror, "mid-compaction");
+        compare(curve_grid, row_grid, mirror, "mid-compaction");
         std::string err;
-        ASSERT_TRUE(runs_grid.CheckInvariants(&err)) << err;
-        ASSERT_TRUE(sort_grid.CheckInvariants(&err)) << err;
+        ASSERT_TRUE(curve_grid.CheckInvariants(&err)) << err;
+        ASSERT_TRUE(row_grid.CheckInvariants(&err)) << err;
       }
     }
   }
 }
 
-// SelfJoin's widened-reach sweep reuses the decomposition for the bulk
-// forward box on the curve layouts: pair SETS and comparison counts must
-// match the sort-mode sweep and brute force (emission order inside the
-// bulk box legitimately differs — rank order vs coordinate order — so the
-// comparison is on sorted pairs).
-TEST(MemGridTest, SelfJoinDecompositionMatchesSortOnWidenedReach) {
+// SelfJoin's widened-reach sweep walks the bulk forward box through the
+// curve decomposition on the curve layouts: the pair set must match brute
+// force on every layout (emission order inside the bulk box follows the
+// rank order, so the comparison is on sorted pairs).
+TEST(MemGridTest, SelfJoinWidenedReachMatchesBruteForce) {
   Rng rng(97);
   std::vector<Element> elems;
   for (ElementId i = 0; i < 2500; ++i) {
@@ -523,25 +514,15 @@ TEST(MemGridTest, SelfJoinDecompositionMatchesSortOnWidenedReach) {
     MemGridConfig cfg;
     cfg.cell_size = 2.0f;  // << 2*max_half_extent: the widened sweep runs.
     cfg.layout = layout;
-    cfg.decomp = RangeDecomp::kRuns;
-    MemGrid runs_grid(kUniverse, cfg);
-    cfg.decomp = RangeDecomp::kSort;
-    MemGrid sort_grid(kUniverse, cfg);
-    runs_grid.Build(elems);
-    sort_grid.Build(elems);
+    MemGrid grid(kUniverse, cfg);
+    grid.Build(elems);
     for (const float eps : {0.0f, 0.8f}) {
-      std::vector<std::pair<ElementId, ElementId>> got_runs, got_sort;
-      QueryCounters c_runs, c_sort;
-      runs_grid.SelfJoin(eps, &got_runs, &c_runs);
-      sort_grid.SelfJoin(eps, &got_sort, &c_sort);
-      EXPECT_EQ(c_runs.element_tests, c_sort.element_tests)
-          << ToString(layout) << " eps=" << eps;
-      SortPairs(&got_runs);
-      SortPairs(&got_sort);
-      ASSERT_EQ(got_runs, got_sort) << ToString(layout) << " eps=" << eps;
+      std::vector<std::pair<ElementId, ElementId>> got;
+      grid.SelfJoin(eps, &got);
+      SortPairs(&got);
       auto want = NestedLoopSelfJoin(elems, eps);
       SortPairs(&want);
-      ASSERT_EQ(got_runs, want) << ToString(layout) << " eps=" << eps;
+      ASSERT_EQ(got, want) << ToString(layout) << " eps=" << eps;
     }
   }
 }
@@ -783,9 +764,9 @@ TEST(RegistryTest, SeededMixedWorkloadDifferentialFuzz) {
   const std::vector<std::string> profiles = {
       "memgrid",          "memgrid-padded",
       "memgrid-morton",   "memgrid-hilbert",
-      "memgrid-sharded",  "memgrid-sortscan",
-      "rtree",            "rtree-packed-str",
-      "rtree-packed-hilbert", "linear-scan"};
+      "memgrid-sharded",  "rtree",
+      "rtree-packed-str", "rtree-packed-hilbert",
+      "linear-scan"};
   std::vector<std::unique_ptr<SpatialIndex>> indexes;
   for (const std::string& p : profiles) {
     auto index = MakeIndex(p);

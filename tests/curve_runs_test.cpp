@@ -1,11 +1,13 @@
-// Property-based fuzz for CurveRangeRuns, the BIGMIN-style curve-range
+// Property-based fuzz for CurveRangeRankRuns, the BIGMIN-style curve-range
 // decomposition: for random lattice boxes across bits 1..10 and all three
-// layouts, the emitted key runs must be sorted, pairwise disjoint,
-// non-empty, MAXIMAL (the key just past a run decodes to a cell outside
-// the box — adjacent runs cannot be fused), and their union must equal the
-// brute-force key set of the cells inside the box. This is the codec-level
-// ground truth the MemGrid decomposition-vs-sort differential battery
-// (core_test) builds on.
+// layouts, the emitted runs must be sorted, pairwise disjoint, non-empty,
+// MAXIMAL (the rank just past a run belongs to a cell outside the box —
+// adjacent runs cannot be fused), and their union must equal the
+// brute-force rank set of the cells inside the box. On a full 2^bits cube
+// rank == curve key, so the key-space cases check the walk directly
+// against the codecs; the non-power-of-two cases check the rank
+// accounting. This is the codec-level ground truth the MemGrid
+// curve-vs-rowmajor differential battery (core_test) builds on.
 
 #include <gtest/gtest.h>
 
@@ -59,7 +61,9 @@ bool DecodesIntoBox(CellLayout layout, std::uint64_t key, const CellVec& lo,
          z <= hi[2];
 }
 
-/// Check every CurveRangeRuns contract for one (layout, box) instance.
+/// Check every CurveRangeRankRuns contract for one (layout, box) instance
+/// on a lattice where rank == key: a full 2^bits cube for the curve
+/// layouts, any dims for kRowMajor.
 void CheckDecomposition(CellLayout layout, const CellVec& lo,
                         const CellVec& hi, const CellVec& dims, int bits) {
   SCOPED_TRACE(::testing::Message()
@@ -68,7 +72,7 @@ void CheckDecomposition(CellLayout layout, const CellVec& lo,
                << hi[1] << "," << hi[2] << "] dims=" << dims[0] << "x"
                << dims[1] << "x" << dims[2]);
   std::vector<CurveRun> runs;
-  CurveRangeRuns(layout, lo, hi, dims, bits, &runs);
+  CurveRangeRankRuns(layout, lo, hi, dims, bits, &runs);
 
   // Sorted, disjoint, non-empty; adjacent runs separated by >= 1 key.
   for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -99,12 +103,9 @@ void CheckDecomposition(CellLayout layout, const CellVec& lo,
   // Maximality: the key just past each run (and just before it) belongs to
   // a cell OUTSIDE the box, otherwise the run could have been extended.
   // (Union-exactness above already implies it for in-lattice keys; this
-  // pins the boundary cells explicitly, including the out-of-lattice gap
-  // keys of the curve layouts.)
+  // pins the boundary cells explicitly.)
   const std::uint64_t universe_keys =
-      layout == CellLayout::kRowMajor
-          ? std::uint64_t{dims[0]} * dims[1] * dims[2]
-          : std::uint64_t{1} << (3 * bits);
+      std::uint64_t{dims[0]} * dims[1] * dims[2];
   for (const CurveRun& r : runs) {
     if (r.end < universe_keys) {
       EXPECT_FALSE(DecodesIntoBox(layout, r.end, lo, hi, dims, bits))
@@ -125,8 +126,8 @@ TEST(CurveRunsTest, FullUniverseIsOneRun) {
       const auto n = static_cast<std::uint32_t>(1u << bits);
       const CellVec dims{n, n, n};
       std::vector<CurveRun> runs;
-      CurveRangeRuns(layout, CellVec{0, 0, 0}, CellVec{n - 1, n - 1, n - 1},
-                     dims, bits, &runs);
+      CurveRangeRankRuns(layout, CellVec{0, 0, 0},
+                         CellVec{n - 1, n - 1, n - 1}, dims, bits, &runs);
       ASSERT_EQ(runs.size(), 1u) << ToString(layout) << " bits=" << bits;
       EXPECT_EQ(runs[0].begin, 0u);
       EXPECT_EQ(runs[0].end, std::uint64_t{n} * n * n);
@@ -217,8 +218,8 @@ TEST(CurveRunsTest, RowMajorNonPowerOfTwoDims) {
   // stretch — the whole box when it spans full y depth as well.
   std::vector<CurveRun> runs;
   const CellVec dims{5, 7, 3};
-  CurveRangeRuns(CellLayout::kRowMajor, CellVec{1, 0, 0}, CellVec{3, 6, 2},
-                 dims, 0, &runs);
+  CurveRangeRankRuns(CellLayout::kRowMajor, CellVec{1, 0, 0},
+                     CellVec{3, 6, 2}, dims, 0, &runs);
   ASSERT_EQ(runs.size(), 1u);  // y and z both full: x-contiguous fuses too.
   EXPECT_EQ(runs[0].begin, 1u * 7 * 3);
   EXPECT_EQ(runs[0].end, 4u * 7 * 3);
@@ -284,7 +285,7 @@ TEST(CurveRunsTest, RankRunsMatchBruteForceRanks) {
                      << "]..[" << hi[0] << "," << hi[1] << "," << hi[2]
                      << "]");
         std::vector<CurveRun> runs;
-        ASSERT_TRUE(CurveRangeRankRuns(layout, lo, hi, dims, bits, &runs));
+        CurveRangeRankRuns(layout, lo, hi, dims, bits, &runs);
         std::vector<std::uint64_t> got;
         for (std::size_t r = 0; r < runs.size(); ++r) {
           ASSERT_LT(runs[r].begin, runs[r].end) << "empty run " << r;
@@ -303,12 +304,11 @@ TEST(CurveRunsTest, RankRunsMatchBruteForceRanks) {
   }
 }
 
-// The two anchor APIs the batch scheduler leans on must agree with the
-// full decomposition: CurveRangeFirstRank is the first run's begin, and
-// CurveRangeFirstCell names the cell that owns that rank (checked by
-// decomposing the single-cell box [cell, cell], whose one run's begin is
-// by definition the cell's rank).
-TEST(CurveRunsTest, FirstRankAndFirstCellAgreeWithRankRuns) {
+// The batch scheduler's anchor must agree with the full decomposition:
+// CurveRangeFirstCell names the cell that owns the first run's begin
+// (checked by decomposing the single-cell box [cell, cell], whose one
+// run's begin is by definition the cell's rank).
+TEST(CurveRunsTest, FirstCellAgreesWithRankRuns) {
   Rng rng(808);
   for (const CellLayout layout : kLayouts) {
     for (int bits = 1; bits <= 6; ++bits) {
@@ -330,21 +330,15 @@ TEST(CurveRunsTest, FirstRankAndFirstCellAgreeWithRankRuns) {
                      << "]..[" << hi[0] << "," << hi[1] << "," << hi[2]
                      << "]");
         std::vector<CurveRun> runs;
-        ASSERT_TRUE(CurveRangeRankRuns(layout, lo, hi, dims, bits, &runs));
+        CurveRangeRankRuns(layout, lo, hi, dims, bits, &runs);
         ASSERT_FALSE(runs.empty());
-        std::uint64_t rank = ~std::uint64_t{0};
-        ASSERT_TRUE(
-            CurveRangeFirstRank(layout, lo, hi, dims, bits, &rank));
-        EXPECT_EQ(rank, runs[0].begin);
-        CellVec cell{~0u, ~0u, ~0u};
-        ASSERT_TRUE(CurveRangeFirstCell(layout, lo, hi, bits, &cell));
+        const CellVec cell = CurveRangeFirstCell(layout, lo, hi, bits);
         for (int a = 0; a < 3; ++a) {
           ASSERT_GE(cell[a], lo[a]) << "axis " << a;
           ASSERT_LE(cell[a], hi[a]) << "axis " << a;
         }
         std::vector<CurveRun> one;
-        ASSERT_TRUE(
-            CurveRangeRankRuns(layout, cell, cell, dims, bits, &one));
+        CurveRangeRankRuns(layout, cell, cell, dims, bits, &one);
         ASSERT_EQ(one.size(), 1u);
         EXPECT_EQ(one[0].begin, runs[0].begin)
             << "first cell's rank is not the first run's begin";
@@ -353,25 +347,51 @@ TEST(CurveRunsTest, FirstRankAndFirstCellAgreeWithRankRuns) {
   }
 }
 
+// Exhaustive pin of the curve state tables: on a full 2^bits cube every
+// single-cell box must decompose to exactly the run [key(c), key(c) + 1),
+// with the key taken from the codec the grid's rank maps are built with.
+// All 24 Hilbert states are reached within three levels of the root, so
+// bits 5 reads every oct AND next entry of the table at least once: a
+// wrong entry cannot go unnoticed.
+TEST(CurveRunsTest, SingleCellRunsMatchCodecExhaustively) {
+  for (const CellLayout layout : {CellLayout::kMorton, CellLayout::kHilbert}) {
+    for (int bits = 1; bits <= 5; ++bits) {
+      const std::uint32_t n = 1u << bits;
+      const CellVec dims{n, n, n};
+      std::vector<CurveRun> runs;
+      for (std::uint32_t x = 0; x < n; ++x) {
+        for (std::uint32_t y = 0; y < n; ++y) {
+          for (std::uint32_t z = 0; z < n; ++z) {
+            const CellVec c{x, y, z};
+            CurveRangeRankRuns(layout, c, c, dims, bits, &runs);
+            const std::uint64_t key = KeyOf(layout, x, y, z, dims, bits);
+            ASSERT_EQ(runs.size(), 1u)
+                << ToString(layout) << " bits=" << bits << " cell " << x
+                << "," << y << "," << z;
+            ASSERT_EQ(runs[0].begin, key)
+                << ToString(layout) << " bits=" << bits << " cell " << x
+                << "," << y << "," << z;
+            ASSERT_EQ(runs[0].end, key + 1);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(CurveRunsTest, RankRunsFuseAcrossOutOfLatticeKeys) {
-  // A full-lattice box on non-power-of-two dims: in KEY space the curve
-  // layouts fragment it (the cube has keys outside the lattice), in RANK
-  // space it must always collapse to the single run [0, nx*ny*nz).
+  // A full-lattice box on non-power-of-two dims: the cube has keys outside
+  // the lattice between its cells, and in RANK space the box must still
+  // collapse to the single run [0, nx*ny*nz).
   const CellVec dims{5, 6, 7};
   const CellVec lo{0, 0, 0};
   const CellVec hi{4, 5, 6};
   for (const CellLayout layout : kLayouts) {
     std::vector<CurveRun> runs;
-    ASSERT_TRUE(CurveRangeRankRuns(layout, lo, hi, dims, /*bits=*/3, &runs));
+    CurveRangeRankRuns(layout, lo, hi, dims, /*bits=*/3, &runs);
     ASSERT_EQ(runs.size(), 1u) << ToString(layout);
     EXPECT_EQ(runs[0].begin, 0u);
     EXPECT_EQ(runs[0].end, 5u * 6 * 7);
-    if (layout != CellLayout::kRowMajor) {
-      CurveRangeRuns(layout, lo, hi, dims, /*bits=*/3, &runs);
-      EXPECT_GT(runs.size(), 1u)
-          << ToString(layout)
-          << ": key runs unexpectedly contiguous on a clipped lattice";
-    }
   }
 }
 
@@ -381,8 +401,8 @@ TEST(CurveRunsTest, MortonRunsMatchBigminGroundTruth) {
   // keys [0,8) u [32,40) — precisely what one BIGMIN split at the z bit
   // yields.
   std::vector<CurveRun> runs;
-  CurveRangeRuns(CellLayout::kMorton, CellVec{0, 0, 0}, CellVec{1, 1, 3},
-                 CellVec{4, 4, 4}, /*bits=*/2, &runs);
+  CurveRangeRankRuns(CellLayout::kMorton, CellVec{0, 0, 0}, CellVec{1, 1, 3},
+                     CellVec{4, 4, 4}, /*bits=*/2, &runs);
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_EQ(runs[0].begin, 0u);
   EXPECT_EQ(runs[0].end, 8u);
@@ -398,8 +418,8 @@ TEST(CurveRunsTest, HilbertRunCountBeatsCoordinateFragmentation) {
   const int bits = 6;
   const std::uint32_t n = 1u << bits;
   std::vector<CurveRun> runs;
-  CurveRangeRuns(CellLayout::kHilbert, CellVec{8, 8, 8},
-                 CellVec{23, 23, 23}, CellVec{n, n, n}, bits, &runs);
+  CurveRangeRankRuns(CellLayout::kHilbert, CellVec{8, 8, 8},
+                     CellVec{23, 23, 23}, CellVec{n, n, n}, bits, &runs);
   const std::size_t columns = 16 * 16;
   EXPECT_LT(runs.size(), columns / 2)
       << "Hilbert cube decomposition no longer beats column order";
