@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "common/failpoint.h"
 #include "common/geometry.h"
@@ -41,6 +42,18 @@ constexpr std::size_t kCompactHeadroomFloor = 1024;
 /// Minimum items per worker chunk for the parallel Build / ApplyUpdates
 /// passes; below this the pool dispatch costs more than it saves.
 constexpr std::size_t kParallelGrain = 1024;
+/// ApplyUpdates rebuilds instead of updating incrementally when the batch
+/// holds at least this fraction of the live elements AND the grid holds at
+/// least kRebuildMinElements. Set from bench_sec41_update_vs_rebuild's
+/// MemGrid rows (plasticity steps, threads 1 and 4): the rebuild costs the
+/// same at every fraction and wins from ~60% moved at n=1M and from
+/// ~90-100% at n=200k; at n=100k it only breaks even at 100%, and at
+/// n<=50k, where the incremental working set stays in cache, it never
+/// wins.
+constexpr double kRebuildBatchFraction = 0.75;
+constexpr std::size_t kRebuildMinElements = 131072;
+/// scratch_src_ entry of an id the rebuild path's batch does not update.
+constexpr std::uint32_t kNoSource = 0xffffffffu;
 /// Cap on the combined footprint of the per-thread count arrays
 /// (slots, i.e. 4 bytes each): threads are shed before the counting pass
 /// would allocate more than ~64 MB across workers.
@@ -206,8 +219,13 @@ void MemGrid::PartitionShards(const std::vector<std::uint32_t>& counts,
       shard_begin_rank_[s] = static_cast<std::uint32_t>(r);
     }
   }
-  shards_.assign(S, Shard{});
+  // Reset every descriptor but keep the blocks' allocations: a rebuild
+  // scatters into the recycled storage (BuildParallel).
+  shards_.resize(S);
   for (std::size_t s = 0; s < S; ++s) {
+    std::vector<Entry> block = std::move(shards_[s].block);
+    shards_[s] = Shard{};
+    shards_[s].block = std::move(block);
     shards_[s].rank_begin = shard_begin_rank_[s];
     shards_[s].rank_end = shard_begin_rank_[s + 1];
     shards_[s].cursor = shards_[s].rank_begin;
@@ -272,54 +290,71 @@ void MemGrid::GrowMaxHalfExtent(const AABB& box) {
 }
 
 void MemGrid::Build(std::span<const Element> elements) {
+  RebuildIndex(elements.size(), /*base_mhe=*/0.0f, [&](std::size_t chunks) {
+    BuildParallel(elements, chunks);
+  });
+  update_stats_ = MemGridUpdateStats{};
+}
+
+template <typename Construct>
+void MemGrid::RebuildIndex(std::size_t n, float base_mhe,
+                           const Construct& construct) {
   // Strong guarantee: stash the current index by O(1) moves and construct
-  // into fresh state; ANY failure below — an allocation, a failpoint, a
-  // worker exception rethrown by ThreadPool::Run — restores the stash, so
-  // a failed rebuild leaves the previous index intact. (The scratch
-  // members are not stashed: they carry no index state.)
+  // into the spare storage; ANY failure below — an allocation, a
+  // failpoint, a worker exception rethrown by ThreadPool::Run, a reserved
+  // id — restores the stash, so a failed rebuild leaves the previous index
+  // intact. (The scratch members are not stashed: they carry no index
+  // state.)
   auto stash_shards = std::move(shards_);
   auto stash_begin_rank = std::move(shard_begin_rank_);
   auto stash_regions = std::move(regions_);
   auto stash_slots = std::move(slots_);
   const std::size_t stash_size = size_;
   const float stash_mhe = max_half_extent_;
-  const MemGridUpdateStats stash_stats = update_stats_;
+  shards_ = std::move(spare_shards_);
+  regions_ = std::move(spare_regions_);
+  slots_ = std::move(spare_slots_);
   try {
     regions_.assign(stash_regions.size(), Region{});
-    slots_.clear();
-    update_stats_ = MemGridUpdateStats{};
-    max_half_extent_ = 0.0f;
-    size_ = elements.size();
+    max_half_extent_ = base_mhe;
     SIMSPATIAL_FAILPOINT("memgrid.build.alloc");
 
     // Chunk count: bounded by the thread knob, the per-chunk grain, and
     // the footprint of the per-thread count arrays (chunks * cells slots).
-    std::size_t chunks =
-        par::ChunkCount(threads_, elements.size(), kParallelGrain);
+    std::size_t chunks = par::ChunkCount(threads_, n, kParallelGrain);
     while (chunks > 1 && chunks * regions_.size() > kMaxCountSlots) --chunks;
-    BuildParallel(elements, chunks);
+    construct(chunks);
   } catch (...) {
+    spare_shards_ = std::move(shards_);
+    spare_regions_ = std::move(regions_);
+    spare_slots_ = std::move(slots_);
     shards_ = std::move(stash_shards);
     shard_begin_rank_ = std::move(stash_begin_rank);
     regions_ = std::move(stash_regions);
     slots_ = std::move(stash_slots);
     size_ = stash_size;
     max_half_extent_ = stash_mhe;
-    update_stats_ = stash_stats;
     throw;
   }
+  // The replaced index becomes the next rebuild's destination. Only the
+  // shard blocks are reused; an in-flight compaction block is released.
+  spare_shards_ = std::move(stash_shards);
+  for (Shard& sh : spare_shards_) std::vector<Entry>().swap(sh.fresh);
+  spare_regions_ = std::move(stash_regions);
+  spare_slots_ = std::move(stash_slots);
 }
 
 void MemGrid::BuildParallel(std::span<const Element> elements,
                             std::size_t chunks) {
-  // Pass 1: per-cell occupancy and the id range; pass 2: entry-balanced
-  // shard boundaries, then per shard the region layout in layout-rank
-  // order with slack; pass 3: scatter. This is the O(n) "cheap rebuild" —
-  // no per-bucket allocations, one flat block per shard. Passes 1 and 3
-  // are chunk-partitioned; within a cell, chunk c's elements precede chunk
-  // c+1's and keep their input order, so the concatenation over chunks IS
-  // the input order — the layout (and therefore every downstream query
-  // result) is bit-identical at every chunk count.
+  // Pass 1: per-cell occupancy and the id range; pass 2 (LayoutRegions):
+  // entry-balanced shard boundaries, then per shard the region layout in
+  // layout-rank order with slack; pass 3: scatter. This is the O(n)
+  // "cheap rebuild" — no per-bucket allocations, one flat block per shard.
+  // Passes 1 and 3 are chunk-partitioned; within a cell, chunk c's
+  // elements precede chunk c+1's and keep their input order, so the
+  // concatenation over chunks IS the input order — the layout (and
+  // therefore every downstream query result) is bit-identical at every
+  // chunk count.
   const std::size_t n = elements.size();
 #ifndef NDEBUG
   {
@@ -327,6 +362,7 @@ void MemGrid::BuildParallel(std::span<const Element> elements,
     // slots_ entry, so diagnose it deterministically before fanning out.
     std::vector<std::uint8_t> seen;
     for (const Element& e : elements) {
+      if (e.id == kInvalidElement) continue;  // Rejected after pass 1.
       if (e.id >= seen.size()) seen.resize(static_cast<std::size_t>(e.id) + 1);
       assert(!seen[e.id] && "duplicate element id in Build");
       seen[e.id] = 1;
@@ -347,7 +383,7 @@ void MemGrid::BuildParallel(std::span<const Element> elements,
   par::ParallelChunks(chunks, n, [&](std::size_t w, std::size_t begin,
                                      std::size_t end) {
     // A worker-slot failure here surfaces through ThreadPool::Run and is
-    // absorbed by Build's stash/restore.
+    // absorbed by RebuildIndex's stash/restore.
     SIMSPATIAL_FAILPOINT("memgrid.build.worker");
     std::vector<std::uint32_t>& c = counts[w];
     c.assign(regions_.size(), 0);
@@ -370,17 +406,105 @@ void MemGrid::BuildParallel(std::span<const Element> elements,
     max_id = std::max(max_id, chunk_max_id[w]);
     max_half_extent_ = std::max(max_half_extent_, chunk_mhe[w]);
   }
+  // The reserved id is the largest ElementId, so the id-range reduction
+  // finds it; left in, it would size slots_ to 2^32 entries.
+  if (n != 0 && max_id == kInvalidElement) {
+    throw std::invalid_argument(
+        "MemGrid::Build: element id kInvalidElement is reserved");
+  }
+  size_ = n;
+  LayoutRegions(chunks);
+  slots_.assign(n == 0 ? 0 : static_cast<std::size_t>(max_id) + 1, Slot{});
 
+  // Pass 3 (parallel scatter): chunk cursors are disjoint by construction,
+  // and ids are unique, so every block/slots_ store has one writer.
+  par::ParallelChunks(chunks, n, [&](std::size_t w, std::size_t begin,
+                                     std::size_t end) {
+    std::vector<std::uint32_t>& cursor = counts[w];
+    for (std::size_t i = begin; i < end; ++i) {
+      const Element& e = elements[i];
+      const std::uint32_t cell = cell_of[i];
+      const std::uint32_t pos = cursor[cell]++;
+      shards_[ShardOfCell(cell)].block[pos] = Entry{e.box, e.id};
+      slots_[e.id] = Slot{cell, pos};
+    }
+  });
+}
+
+void MemGrid::BuildGathered(std::span<const ElementUpdate> batch,
+                            std::size_t chunks) {
+  // BuildParallel's three passes over ids instead of elements: id i's
+  // cell is scratch_cell_of_[i] (kNoCell: not live), and its box is
+  // batch[scratch_src_[i]].new_box, or scratch_boxes_[i] when the batch
+  // does not update it. Boxes are read once, in the scatter.
+  const std::size_t ids = scratch_cell_of_.size();
+  const std::vector<std::uint32_t>& cell_of = scratch_cell_of_;
+  if (scratch_chunk_counts_.size() < chunks) {
+    scratch_chunk_counts_.resize(chunks);
+  }
+  std::vector<std::vector<std::uint32_t>>& counts = scratch_chunk_counts_;
+  std::vector<std::size_t> chunk_live(chunks, 0);
+  std::vector<std::size_t> chunk_end(chunks, 0);  // Last live id + 1.
+  par::ParallelChunks(chunks, ids, [&](std::size_t w, std::size_t begin,
+                                       std::size_t end) {
+    SIMSPATIAL_FAILPOINT("memgrid.build.worker");
+    std::vector<std::uint32_t>& c = counts[w];
+    c.assign(regions_.size(), 0);
+    std::size_t live = 0;
+    std::size_t last_end = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (cell_of[i] == kNoCell) continue;
+      ++c[cell_of[i]];
+      ++live;
+      last_end = i + 1;
+    }
+    chunk_live[w] = live;
+    chunk_end[w] = last_end;
+  });
+  size_ = 0;
+  std::size_t slot_count = 0;
+  for (std::size_t w = 0; w < chunks; ++w) {
+    size_ += chunk_live[w];
+    slot_count = std::max(slot_count, chunk_end[w]);
+  }
+  LayoutRegions(chunks);
+  // Every slot below slot_count is written by the scatter, so a recycled
+  // slot map needs no clearing pass.
+  slots_.resize(slot_count);
+
+  par::ParallelChunks(chunks, ids, [&](std::size_t w, std::size_t begin,
+                                       std::size_t end) {
+    std::vector<std::uint32_t>& cursor = counts[w];
+    for (std::size_t i = begin; i < std::min(end, slot_count); ++i) {
+      const std::uint32_t cell = cell_of[i];
+      if (cell == kNoCell) {
+        slots_[i] = Slot{};
+        continue;
+      }
+      const std::uint32_t src = scratch_src_[i];
+      const AABB& box =
+          src == kNoSource ? scratch_boxes_[i] : batch[src].new_box;
+      const std::uint32_t pos = cursor[cell]++;
+      shards_[ShardOfCell(cell)].block[pos] =
+          Entry{box, static_cast<ElementId>(i)};
+      slots_[i] = Slot{cell, pos};
+    }
+  });
+}
+
+void MemGrid::LayoutRegions(std::size_t chunks) {
   // Pass 2 (serial): combined per-cell counts feed the entry-balanced
   // shard boundaries, then the region layout walks each shard's rank
   // range; the per-(chunk, cell) counts become shard-block write cursors
   // for the scatter.
-  std::vector<std::uint32_t> combined(regions_.size(), 0);
+  std::vector<std::vector<std::uint32_t>>& counts = scratch_chunk_counts_;
+  std::vector<std::uint32_t>& combined = scratch_combined_;
+  combined.assign(regions_.size(), 0);
   for (std::size_t w = 0; w < chunks; ++w) {
     const std::vector<std::uint32_t>& c = counts[w];
     for (std::size_t i = 0; i < combined.size(); ++i) combined[i] += c[i];
   }
-  PartitionShards(combined, n);
+  PartitionShards(combined, size_);
   for (Shard& sh : shards_) {
     std::size_t total = 0;
     std::size_t live = 0;
@@ -399,25 +523,14 @@ void MemGrid::BuildParallel(std::span<const Element> elements,
       total += cap;
       live += count;
     }
-    sh.block.assign(total, Entry{});
+    // A recycled block keeps its stale entries: the scatter overwrites
+    // every live slot and slack slots are never read. A block too small
+    // is dropped first, so growing it copies nothing.
+    if (sh.block.capacity() < total) std::vector<Entry>().swap(sh.block);
+    sh.block.resize(total);
     sh.layout_budget = total;
     sh.live = live;
   }
-  slots_.assign(n == 0 ? 0 : static_cast<std::size_t>(max_id) + 1, Slot{});
-
-  // Pass 3 (parallel scatter): chunk cursors are disjoint by construction,
-  // and ids are unique, so every block/slots_ store has one writer.
-  par::ParallelChunks(chunks, n, [&](std::size_t w, std::size_t begin,
-                                     std::size_t end) {
-    std::vector<std::uint32_t>& cursor = counts[w];
-    for (std::size_t i = begin; i < end; ++i) {
-      const Element& e = elements[i];
-      const std::uint32_t cell = cell_of[i];
-      const std::uint32_t pos = cursor[cell]++;
-      shards_[ShardOfCell(cell)].block[pos] = Entry{e.box, e.id};
-      slots_[e.id] = Slot{cell, pos};
-    }
-  });
 }
 
 void MemGrid::RemoveFromCell(std::uint32_t cell, std::uint32_t pos) {
@@ -687,6 +800,10 @@ void MemGrid::CompactStep() {
 }
 
 void MemGrid::Insert(const Element& element) {
+  if (element.id == kInvalidElement) {
+    throw std::invalid_argument(
+        "MemGrid::Insert: element id kInvalidElement is reserved");
+  }
   EnsureSlot(element.id);
   assert(slots_[element.id].cell == kNoCell && "id already present");
   const auto cell = static_cast<std::uint32_t>(CellOf(element.Center()));
@@ -738,7 +855,90 @@ bool MemGrid::Update(ElementId id, const AABB& new_box) {
   return true;
 }
 
+std::size_t MemGrid::ApplyUpdatesByRebuild(
+    std::span<const ElementUpdate> updates) {
+  // RebuildIndex's stash/restore is the whole transaction: nothing below
+  // touches the index or its counters before it commits, so a failure
+  // only has to count the rollback. The path is bound by memory traffic,
+  // not compute: the overlay records per id WHICH update holds its box
+  // instead of copying it, and only ids the batch leaves untouched are
+  // gathered.
+  MemGridUpdateStats batch;
+  try {
+    SIMSPATIAL_FAILPOINT("memgrid.apply.alloc");
+    const std::size_t ids = slots_.size();
+    scratch_cell_of_.resize(ids);
+    scratch_src_.assign(ids, kNoSource);
+    scratch_migrated_.assign(ids, 0);
+    // Overlay, in batch order: the last update per id wins. The counters
+    // follow the incremental path exactly: an update is in place when its
+    // cell is the id's current cell, and once an id has migrated in this
+    // batch its later updates count only as updates (the incremental path
+    // overwrites the staged move).
+    float batch_mhe = max_half_extent_;
+    std::size_t touched = 0;  // Distinct live ids the batch updates.
+    for (std::size_t i = 0; i < updates.size(); ++i) {
+      const ElementUpdate& u = updates[i];
+      if (u.id >= ids) continue;
+      const std::uint32_t old_cell = slots_[u.id].cell;
+      if (old_cell == kNoCell) continue;
+      const Vec3 ext = u.new_box.Extent();
+      batch_mhe = std::max({batch_mhe, ext.x * 0.5f, ext.y * 0.5f,
+                            ext.z * 0.5f});
+      const auto cell =
+          static_cast<std::uint32_t>(CellOf(u.new_box.Center()));
+      scratch_cell_of_[u.id] = cell;
+      if (scratch_src_[u.id] == kNoSource) ++touched;
+      scratch_src_[u.id] = static_cast<std::uint32_t>(i);
+      ++batch.updates;
+      if (scratch_migrated_[u.id] != 0) continue;
+      if (cell == old_cell) {
+        ++batch.in_place;
+      } else {
+        ++batch.migrations;
+        scratch_migrated_[u.id] = 1;
+      }
+    }
+    // Gather the current box and cell of every id the batch left
+    // untouched (parallel, by id); a dead id gets cell kNoCell. A batch
+    // that updates every live id (the Figure-1 loop) needs no box buffer,
+    // so its first rebuild does not fault one in.
+    if (touched < size_) scratch_boxes_.resize(ids);
+    par::ParallelChunks(
+        par::ChunkCount(threads_, ids, kParallelGrain), ids,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t id = begin; id < end; ++id) {
+            if (scratch_src_[id] != kNoSource) continue;
+            const Slot s = slots_[id];
+            scratch_cell_of_[id] = s.cell;
+            if (s.cell != kNoCell) {
+              scratch_boxes_[id] = SpaceOf(s.cell)[s.pos].box;
+            }
+          }
+        });
+    // The batch's half-extents are in batch_mhe and every other box is
+    // covered by max_half_extent_ already, so the build need not re-read
+    // them.
+    RebuildIndex(ids, batch_mhe, [&](std::size_t chunks) {
+      BuildGathered(updates, chunks);
+    });
+  } catch (...) {
+    ++update_stats_.rollbacks;
+    throw;
+  }
+  update_stats_.updates += batch.updates;
+  update_stats_.in_place += batch.in_place;
+  update_stats_.migrations += batch.migrations;
+  ++update_stats_.rebuilds;
+  return static_cast<std::size_t>(batch.updates);
+}
+
 std::size_t MemGrid::ApplyUpdates(std::span<const ElementUpdate> updates) {
+  if (size_ >= kRebuildMinElements &&
+      static_cast<double>(updates.size()) >=
+          kRebuildBatchFraction * static_cast<double>(size_)) {
+    return ApplyUpdatesByRebuild(updates);
+  }
   struct Migration {
     ElementId id;
     AABB box;
@@ -1660,12 +1860,20 @@ MemGridShape MemGrid::Shape() const {
     if (sh.compacting) ++s.compacting_shards;
     shard_bytes += (sh.block.capacity() + sh.fresh.capacity()) * sizeof(Entry);
   }
-  s.bytes = shard_bytes + shards_.capacity() * sizeof(Shard) +
+  for (const Shard& sh : spare_shards_) {
+    shard_bytes += sh.block.capacity() * sizeof(Entry);
+  }
+  s.bytes = shard_bytes +
+            (shards_.capacity() + spare_shards_.capacity()) * sizeof(Shard) +
             shard_begin_rank_.capacity() * sizeof(std::uint32_t) +
-            regions_.capacity() * sizeof(Region) +
-            slots_.capacity() * sizeof(Slot) +
+            (regions_.capacity() + spare_regions_.capacity()) *
+                sizeof(Region) +
+            (slots_.capacity() + spare_slots_.capacity()) * sizeof(Slot) +
             rank_of_cell_.capacity() * sizeof(std::uint32_t) +
-            cell_of_rank_.capacity() * sizeof(std::uint32_t);
+            cell_of_rank_.capacity() * sizeof(std::uint32_t) +
+            scratch_src_.capacity() * sizeof(std::uint32_t) +
+            scratch_boxes_.capacity() * sizeof(AABB) +
+            scratch_migrated_.capacity();
   s.mean_occupancy = s.occupied_cells == 0
                          ? 0.0
                          : static_cast<double>(s.elements) /

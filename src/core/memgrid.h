@@ -69,7 +69,16 @@
 //     block swap. Steady-state churn then never triggers a re-layout
 //     stall at all.
 // There is no dual-layout Compact()/Decompact() machinery and no
-// full-index copy on the mutation path.
+// full-index copy on the incremental mutation path.
+//
+// Batches that move most of a large grid skip all of the above (§4.1:
+// past a crossover, rebuilding beats updating). ApplyUpdates then overlays
+// the batch by id, gathers the boxes of the ids it leaves untouched and
+// rebuilds — no journal, no relocation, no compaction, no re-layout.
+// Every rebuild constructs
+// into the shard blocks, region table and slot map the previous rebuild
+// retired (the "spare" storage), so a steady-state rebuild-per-step loop
+// reuses its memory instead of faulting in fresh pages every step.
 //
 // Shards are also the intended NUMA/parallel seam: a shard's block,
 // regions and relocation arena are touched only through its rank range,
@@ -156,6 +165,8 @@ struct MemGridShape {
   double mean_occupancy = 0;
   float cell_size = 0;
   float max_half_extent = 0;
+  /// Heap bytes held, counting the spare storage kept for the next rebuild
+  /// and the rebuild path's gather buffer.
   std::size_t bytes = 0;
   /// Reserved-but-unused slots inside live regions.
   std::size_t slack_slots = 0;
@@ -184,6 +195,9 @@ struct MemGridUpdateStats {
   std::uint64_t in_place = 0;    ///< Centre stayed in its cell.
   std::uint64_t migrations = 0;  ///< Region-to-region moves.
   std::uint64_t relayouts = 0;   ///< Stop-the-shard re-layouts (amortized).
+  /// Batches ApplyUpdates applied by rebuilding the grid (above the
+  /// batch-size crossover) instead of incrementally.
+  std::uint64_t rebuilds = 0;
   /// Completed incremental compaction passes (fresh-block swaps).
   std::uint64_t compaction_passes = 0;
   /// Occupied regions copied by incremental compaction steps.
@@ -216,26 +230,40 @@ class MemGrid {
   // hits a second failure, ApplyUpdates falls back to a full rebuild of
   // the pre-batch element set; if THAT also fails (sustained allocation
   // failure), the exception propagates and the grid is unusable. Erase
-  // allocates nothing and cannot fail.
+  // allocates nothing and cannot fail. Build and Insert reject the
+  // reserved id kInvalidElement with std::invalid_argument, grid unchanged.
 
   /// O(n) rebuild (counting scatter into the per-shard slack-CSR blocks).
-  /// Strong guarantee: builds into fresh state and swaps, so a failure —
-  /// allocation or a worker exception rethrown by ThreadPool::Run —
-  /// leaves the previous index intact.
+  /// Strong guarantee: builds into the spare storage and swaps, so a
+  /// failure — allocation or a worker exception rethrown by
+  /// ThreadPool::Run — leaves the previous index intact. The replaced
+  /// index's storage is kept as the next rebuild's destination.
   void Build(std::span<const Element> elements);
 
   void Insert(const Element& element);
   bool Erase(ElementId id);
   bool Update(ElementId id, const AABB& new_box);
-  /// Batch update path: in-place writes applied immediately, migrations
-  /// grouped by destination cell, one max-half-extent reduction, then one
-  /// budget-bounded incremental compaction step (if configured).
-  /// Transactional: every structural mutation is journaled, and a failure
-  /// at any point — classification worker, staging, landing-phase
-  /// reservation — undoes the batch and rethrows (update_stats().rollbacks
-  /// counts these). A failed incremental compaction step after the batch
-  /// commits is absorbed: the shard falls back to a full re-layout
-  /// (update_stats().compaction_aborts).
+  /// Batch update. Unknown and erased ids are skipped; the return value
+  /// counts the applied updates, and a repeated id ends with its last box.
+  /// Two paths leave the same elements with the same boxes (storage order
+  /// aside) and count the same updates / in_place / migrations:
+  ///   * rebuild — a batch of at least 3/4 of the live elements on a grid
+  ///     of at least 131072 (kRebuildBatchFraction / kRebuildMinElements,
+  ///     the crossover bench_sec41_update_vs_rebuild measures) overlays
+  ///     the batch in batch order, gathers the boxes of the ids it does
+  ///     not update and rebuilds into the spare storage. Build's stash
+  ///     gives the strong guarantee: on failure the grid is the pre-batch
+  ///     grid and update_stats().rollbacks counts it.
+  ///     update_stats().rebuilds counts the batches this path applied.
+  ///   * incremental — in-place writes applied immediately, migrations
+  ///     grouped by destination cell, one max-half-extent reduction, then
+  ///     one budget-bounded incremental compaction step (if configured).
+  ///     Transactional: every structural mutation is journaled, and a
+  ///     failure at any point — classification worker, staging,
+  ///     landing-phase reservation — undoes the batch and rethrows
+  ///     (update_stats().rollbacks counts these). A failed incremental
+  ///     compaction step after the batch commits is absorbed: the shard
+  ///     falls back to a full re-layout (update_stats().compaction_aborts).
   std::size_t ApplyUpdates(std::span<const ElementUpdate> updates);
 
   void RangeQuery(const AABB& range, std::vector<ElementId>* out,
@@ -490,10 +518,30 @@ class MemGrid {
                   std::vector<std::pair<ElementId, ElementId>>* out,
                   QueryCounters* c) const;
 
-  /// Chunked counting scatter (one chunk runs inline on the caller): lays
-  /// regions out in layout-rank order per shard, bit-identically at every
-  /// chunk count.
+  /// Build's strong-guarantee core: stash the current index, let
+  /// `construct(chunks)` fill the spare storage (`n` items sizes the chunk
+  /// count), and retire the stash as the next spare on success; on
+  /// failure restore it. max_half_extent_ starts from `base_mhe`;
+  /// update_stats_ is left to the caller.
+  template <typename Construct>
+  void RebuildIndex(std::size_t n, float base_mhe,
+                    const Construct& construct);
+  /// Chunked counting scatter of `elements` (one chunk runs inline on the
+  /// caller): lays regions out in layout-rank order per shard,
+  /// bit-identically at every chunk count. Throws std::invalid_argument
+  /// on the reserved id kInvalidElement.
   void BuildParallel(std::span<const Element> elements, std::size_t chunks);
+  /// The same scatter over the ids ApplyUpdates' rebuild path gathered
+  /// (see scratch_src_); within a cell, ids stay in ascending order.
+  void BuildGathered(std::span<const ElementUpdate> batch,
+                     std::size_t chunks);
+  /// BuildParallel's serial middle pass, shared by both scatters: shard
+  /// boundaries and region layout from the per-chunk counts, which become
+  /// the scatter's write cursors. Sizes the (recycled) shard blocks.
+  void LayoutRegions(std::size_t chunks);
+
+  /// ApplyUpdates' rebuild path (see ApplyUpdates).
+  std::size_t ApplyUpdatesByRebuild(std::span<const ElementUpdate> updates);
 
   /// ApplyUpdates undo journal: one record per logical mutation, in batch
   /// order. An element's pre-batch box is its FIRST record's box; reverse
@@ -565,11 +613,25 @@ class MemGrid {
   /// ApplyUpdates undo journal (member scratch: reserved once per batch
   /// up front, so journal pushes never throw mid-mutation).
   std::vector<UndoRecord> journal_;
-  /// Reused scratch for BuildParallel (per-element cell ids, per-chunk
-  /// count/cursor arrays) — a rebuild-every-step policy calls Build per
-  /// step, so its scratch is kept across calls too.
+  /// Reused scratch for BuildParallel / BuildGathered (per-element cell
+  /// ids, per-chunk count/cursor arrays, combined counts) — a
+  /// rebuild-every-step policy calls Build per step, so its scratch is
+  /// kept across calls too.
   std::vector<std::uint32_t> scratch_cell_of_;
   std::vector<std::vector<std::uint32_t>> scratch_chunk_counts_;
+  std::vector<std::uint32_t> scratch_combined_;
+  /// Storage of the index the last rebuild replaced, reused as the next
+  /// rebuild's destination (only the shards' `block` allocations matter).
+  std::vector<Shard> spare_shards_;
+  std::vector<Region> spare_regions_;
+  std::vector<Slot> spare_slots_;
+  /// ApplyUpdates' rebuild path, indexed by id (cells go to
+  /// scratch_cell_of_): the index of the id's last update in the batch
+  /// (kNoSource if none), the gathered box of an id the batch does not
+  /// update, and whether the batch has migrated the id.
+  std::vector<std::uint32_t> scratch_src_;
+  std::vector<AABB> scratch_boxes_;
+  std::vector<std::uint8_t> scratch_migrated_;
 };
 
 }  // namespace simspatial::core

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 #include "common/bruteforce.h"
 #include "common/rng.h"
@@ -23,6 +24,23 @@ const AABB kUniverse(Vec3(0, 0, 0), Vec3(100, 100, 100));
 std::vector<ElementId> Sorted(std::vector<ElementId> v) {
   std::sort(v.begin(), v.end());
   return v;
+}
+
+/// Apply `batch` in about three slices, each below ApplyUpdates' rebuild
+/// crossover (3/4 of the live elements), so the incremental path runs at
+/// any grid size. Cuts never split a run of updates to one id. Returns the
+/// total applied.
+std::size_t ApplyInSlices(MemGrid* g, std::span<const ElementUpdate> batch) {
+  const std::size_t third = std::max<std::size_t>(1, (batch.size() + 2) / 3);
+  std::size_t applied = 0;
+  std::size_t begin = 0;
+  while (begin < batch.size()) {
+    std::size_t end = std::min(batch.size(), begin + third);
+    while (end < batch.size() && batch[end].id == batch[end - 1].id) ++end;
+    applied += g->ApplyUpdates(batch.subspan(begin, end - begin));
+    begin = end;
+  }
+  return applied;
 }
 
 // --- MemGrid ------------------------------------------------------------
@@ -95,11 +113,36 @@ TEST(MemGridTest, PlasticityUpdatesAreOverwhelminglyInPlace) {
   std::vector<ElementUpdate> updates;
   for (int step = 0; step < 3; ++step) {
     model.Step(&ds.elements, &updates);
-    EXPECT_EQ(g.ApplyUpdates(updates), updates.size());
+    EXPECT_EQ(ApplyInSlices(&g, updates), updates.size());
   }
+  EXPECT_EQ(g.update_stats().rebuilds, 0u);
   EXPECT_GT(g.update_stats().InPlaceFraction(), 0.97);
   std::string err;
   EXPECT_TRUE(g.CheckInvariants(&err)) << err;
+}
+
+TEST(MemGridTest, PlasticityRebuildPathCountsInPlaceUpdatesToo) {
+  // The same headline on a grid large enough that each whole step takes
+  // ApplyUpdates' rebuild path: its classification must still report the
+  // in-place majority.
+  auto ds = datagen::GenerateNeuronsWithSize(150000);
+  MemGridConfig cfg;
+  cfg.cell_size = 5.0f;
+  MemGrid g(ds.universe, cfg);
+  g.Build(ds.elements);
+  datagen::PlasticityConfig pcfg;
+  datagen::PlasticityModel model(pcfg, ds.universe);
+  std::vector<ElementUpdate> updates;
+  for (int step = 0; step < 3; ++step) {
+    model.Step(&ds.elements, &updates);
+    EXPECT_EQ(g.ApplyUpdates(updates), updates.size());
+  }
+  EXPECT_EQ(g.update_stats().rebuilds, 3u);
+  EXPECT_EQ(g.update_stats().relayouts, 0u);
+  EXPECT_GT(g.update_stats().InPlaceFraction(), 0.97);
+  std::string err;
+  EXPECT_TRUE(g.CheckInvariants(&err)) << err;
+  EXPECT_EQ(g.SnapshotElements().size(), ds.elements.size());
 }
 
 // The per-shell distance lower bound must stop kNN shell expansion early
@@ -638,6 +681,163 @@ TEST(MemGridTest, RebuildIsCheaperThanPerElementWork) {
   g.Build(elems);
   EXPECT_LT(sw.ElapsedSeconds(), 2.0);
   EXPECT_EQ(g.size(), elems.size());
+}
+
+// --- ApplyUpdates: rebuild path vs incremental twin ----------------------
+// A batch of at least 3/4 of the live elements on a large grid takes
+// ApplyUpdates' rebuild path; the same batch in slices below that
+// crossover takes the incremental path. Apart from storage order the two
+// must agree on everything: live elements and boxes, applied counts,
+// update classification, max half-extent and invariants.
+
+/// Batch over most of `live` (updates to one id kept adjacent) with every
+/// case the two paths must agree on: ids left out, repeated ids (a move
+/// and a move back, in-place runs ending in a migration, two migrations),
+/// erased and unknown ids, ids past the slot map, boxes outside the
+/// universe and boxes that widen the maximum half-extent.
+std::vector<ElementUpdate> HostileBatch(const std::vector<Element>& live,
+                                        const std::vector<ElementId>& erased,
+                                        Rng* rng) {
+  std::vector<ElementUpdate> batch;
+  const auto nudge = [&](const AABB& b) {
+    return b.Translated(Vec3(rng->Normal(0, 0.05f), rng->Normal(0, 0.05f),
+                             rng->Normal(0, 0.05f)));
+  };
+  const auto teleport = [&] {
+    return AABB::FromCenterHalfExtent(rng->PointIn(kUniverse),
+                                      rng->Uniform(0.1f, 0.8f));
+  };
+  batch.emplace_back(kInvalidElement, teleport());
+  for (const Element& e : live) {
+    switch (rng->NextBelow(12)) {
+      case 5:  // Not in the batch: the rebuild path gathers its box.
+        break;
+      case 0:
+        batch.emplace_back(e.id, teleport());
+        break;
+      case 1:  // Outside the universe (clamped into a boundary cell).
+        batch.emplace_back(e.id, AABB::FromCenterHalfExtent(
+                                     Vec3(rng->Uniform(-40.0f, 140.0f), -25.0f,
+                                          rng->Uniform(100.5f, 160.0f)),
+                                     0.3f));
+        break;
+      case 2:  // Widens the maximum half-extent.
+        batch.emplace_back(
+            e.id, AABB::FromCenterHalfExtent(e.Center(), 3.5f));
+        break;
+      case 3:  // Migrate, come back, stay: later updates of a moved id.
+        batch.emplace_back(e.id, teleport());
+        batch.emplace_back(e.id, e.box);
+        batch.emplace_back(e.id, nudge(e.box));
+        break;
+      case 4: {  // In place twice, then migrate twice.
+        const AABB a = nudge(e.box);
+        batch.emplace_back(e.id, a);
+        batch.emplace_back(e.id, nudge(a));
+        batch.emplace_back(e.id, teleport());
+        batch.emplace_back(e.id, teleport());
+        break;
+      }
+      default:
+        batch.emplace_back(e.id, nudge(e.box));
+        break;
+    }
+    if (e.id % 4096 == 0) {
+      batch.emplace_back(static_cast<ElementId>(e.id + 5000000), teleport());
+    }
+  }
+  for (const ElementId id : erased) batch.emplace_back(id, teleport());
+  return batch;
+}
+
+TEST(MemGridRebuildPathTest, MatchesIncrementalTwinAcrossConfigs) {
+  const auto elems = GenerateUniformBoxes(140000, kUniverse, 0.1f, 0.8f, 91);
+  for (const CellLayout layout :
+       {CellLayout::kRowMajor, CellLayout::kMorton, CellLayout::kHilbert}) {
+    for (const std::uint32_t shards : {1u, 5u}) {
+      for (const std::uint32_t threads : {0u, 2u, 8u}) {
+        // One thread count per layout x shards starts mid-compaction.
+        const bool mid_compaction = threads == 2;
+        const std::string ctx =
+            std::string("layout=") + ToString(layout) +
+            " shards=" + std::to_string(shards) +
+            " t=" + std::to_string(threads) +
+            (mid_compaction ? " mid-compaction" : " fresh");
+        MemGrid g(kUniverse,
+                  MemGridConfig{.cell_size = 4.0f,
+                                .threads = threads,
+                                .layout = layout,
+                                .shards = shards,
+                                .compact_regions_per_batch = 4});
+        g.Build(elems);
+        std::vector<ElementId> erased;
+        for (ElementId id = 3; id < elems.size(); id += 997) {
+          ASSERT_TRUE(g.Erase(id));
+          erased.push_back(id);
+        }
+        Rng rng(1000 + threads);
+        // Teleport churn in small (incremental) batches until a
+        // compaction pass is in flight.
+        for (int round = 0; mid_compaction && round < 20 &&
+                            g.Shape().compacting_shards == 0;
+             ++round) {
+          std::vector<ElementUpdate> churn;
+          for (const Element& e : g.SnapshotElements()) {
+            if (rng.NextFloat() < 0.05f) {
+              churn.emplace_back(e.id, AABB::FromCenterHalfExtent(
+                                           rng.PointIn(kUniverse), 0.4f));
+            }
+          }
+          g.ApplyUpdates(churn);
+        }
+        ASSERT_EQ(g.Shape().compacting_shards > 0, mid_compaction) << ctx;
+        ASSERT_EQ(g.update_stats().rebuilds, 0u) << ctx;
+
+        const auto batch = HostileBatch(g.SnapshotElements(), erased, &rng);
+        MemGrid twin = g;
+        const MemGridUpdateStats pre = g.update_stats();
+        const std::size_t applied = g.ApplyUpdates(batch);
+        const std::size_t twin_applied = ApplyInSlices(&twin, batch);
+        const MemGridUpdateStats& gs = g.update_stats();
+        const MemGridUpdateStats& ts = twin.update_stats();
+        ASSERT_EQ(gs.rebuilds, 1u) << ctx;
+        ASSERT_EQ(ts.rebuilds, 0u) << ctx;
+        EXPECT_EQ(applied, twin_applied) << ctx;
+        EXPECT_EQ(gs.updates - pre.updates, applied) << ctx;
+        EXPECT_EQ(gs.updates, ts.updates) << ctx;
+        EXPECT_EQ(gs.in_place, ts.in_place) << ctx;
+        EXPECT_EQ(gs.migrations, ts.migrations) << ctx;
+        // The rebuild path never relocates, compacts or re-lays-out.
+        EXPECT_EQ(gs.relayouts, pre.relayouts) << ctx;
+        EXPECT_EQ(gs.compacted_regions, pre.compacted_regions) << ctx;
+        EXPECT_EQ(g.Shape().compacting_shards, 0u) << ctx;
+        EXPECT_EQ(g.Shape().dead_slots, 0u) << ctx;
+        EXPECT_EQ(g.Shape().max_half_extent, twin.Shape().max_half_extent)
+            << ctx;
+        std::string err;
+        ASSERT_TRUE(g.CheckInvariants(&err)) << ctx << ": " << err;
+        ASSERT_TRUE(twin.CheckInvariants(&err)) << ctx << ": " << err;
+        const std::vector<Element> got = g.SnapshotElements();
+        const std::vector<Element> want = twin.SnapshotElements();
+        ASSERT_EQ(got.size(), want.size()) << ctx;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i].id, want[i].id) << ctx;
+          ASSERT_TRUE(got[i].box == want[i].box) << ctx << " id "
+                                                 << got[i].id;
+        }
+        Rng qrng(7);
+        for (int q = 0; q < 8; ++q) {
+          const AABB query = AABB::FromCenterHalfExtent(
+              qrng.PointIn(kUniverse), qrng.Uniform(1.0f, 10.0f));
+          std::vector<ElementId> a, b;
+          g.RangeQuery(query, &a);
+          twin.RangeQuery(query, &b);
+          ASSERT_EQ(Sorted(a), Sorted(b)) << ctx << " q" << q;
+          ASSERT_EQ(Sorted(a), ScanRange(got, query)) << ctx << " q" << q;
+        }
+      }
+    }
+  }
 }
 
 // --- Registry-wide differential battery ----------------------------------

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/bruteforce.h"
 #include "common/rng.h"
+#include "core/memgrid.h"
 #include "core/spatial_index.h"
 #include "join/spatial_join.h"
 
@@ -326,6 +328,40 @@ INSTANTIATE_TEST_SUITE_P(AllIndexes, EdgeCaseTest,
                            std::replace(n.begin(), n.end(), '-', '_');
                            return n;
                          });
+
+// kInvalidElement is the reserved "no element" id. MemGrid sizes its slot
+// map by the largest id, so accepting it would ask for 2^32 slots; Build
+// and Insert reject it with std::invalid_argument and change nothing.
+TEST(MemGridEdgeCaseTest, ReservedIdIsRejectedWithoutMutation) {
+  MemGrid g(kUniverse, MemGridConfig{.cell_size = 1.0f});
+  const std::vector<Element> elems{
+      Element(1, AABB(Vec3(1, 1, 1), Vec3(2, 2, 2))),
+      Element(4, AABB(Vec3(6, 6, 6), Vec3(7, 7, 7)))};
+  g.Build(elems);
+  const std::size_t bytes = g.Shape().bytes;
+  const Element reserved(kInvalidElement, AABB(Vec3(3, 3, 3), Vec3(4, 4, 4)));
+
+  std::vector<Element> with_reserved = elems;
+  with_reserved.push_back(reserved);
+  EXPECT_THROW(g.Build(with_reserved), std::invalid_argument);
+  EXPECT_THROW(g.Insert(reserved), std::invalid_argument);
+
+  const std::vector<Element> snap = g.SnapshotElements();
+  ASSERT_EQ(snap.size(), elems.size());
+  for (std::size_t i = 0; i < snap.size(); ++i) {
+    EXPECT_EQ(snap[i].id, elems[i].id);
+    EXPECT_TRUE(snap[i].box == elems[i].box);
+  }
+  std::string err;
+  EXPECT_TRUE(g.CheckInvariants(&err)) << err;
+  // No slot map for 2^32 ids appeared (a failed Build may only keep its
+  // small destination storage as the next rebuild's spare).
+  EXPECT_LT(g.Shape().bytes, bytes + (std::size_t{1} << 20));
+  // The grid stays usable.
+  g.Insert(Element(9, AABB(Vec3(5, 5, 5), Vec3(5.5f, 5.5f, 5.5f))));
+  EXPECT_EQ(g.size(), 3u);
+  EXPECT_TRUE(g.CheckInvariants(&err)) << err;
+}
 
 // Join edge cases (algorithms are free functions, not in the registry).
 TEST(JoinEdgeCaseTest, IdenticalBoxesSelfJoin) {

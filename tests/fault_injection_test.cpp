@@ -290,6 +290,73 @@ TEST_F(FaultInjectionTest, ApplyUpdatesRollsBackAtEveryInjectionPoint) {
   }
 }
 
+bool SameStats(const core::MemGridUpdateStats& a,
+               const core::MemGridUpdateStats& b) {
+  return a.updates == b.updates && a.in_place == b.in_place &&
+         a.migrations == b.migrations && a.relayouts == b.relayouts &&
+         a.rebuilds == b.rebuilds &&
+         a.compaction_passes == b.compaction_passes &&
+         a.compacted_regions == b.compacted_regions &&
+         a.rollbacks == b.rollbacks &&
+         a.compaction_aborts == b.compaction_aborts;
+}
+
+// A full-coverage batch on a large grid takes ApplyUpdates' rebuild path,
+// whose only transaction is Build's stash: a failure anywhere in it must
+// leave the pre-batch elements and counters (plus one rollback) and a
+// grid that applies the batch cleanly once the fault clears.
+TEST_F(FaultInjectionTest, RebuildPathFailureRestoresPreBatchGrid) {
+  const auto elems = GenerateUniformBoxes(140000, kUniverse, 0.1f, 0.4f, 25);
+  const auto updates = MakeBatch(elems, 41);
+  for (const std::uint32_t shards : {1u, 5u}) {
+    for (const std::uint32_t threads : {0u, 2u}) {
+      MemGridConfig cfg;
+      cfg.cell_size = 5.0f;
+      cfg.shards = shards;
+      cfg.threads = threads;
+      MemGrid base(kUniverse, cfg);
+      base.Build(elems);
+      // One committed rebuild first, so the failing one constructs into
+      // recycled storage.
+      ASSERT_EQ(base.ApplyUpdates(MakeBatch(elems, 40)), elems.size());
+      const auto pre = base.SnapshotElements();
+      MemGrid oracle = base;
+      ASSERT_EQ(oracle.ApplyUpdates(updates), updates.size());
+      ASSERT_EQ(oracle.update_stats().rebuilds, 2u);
+      const auto post = oracle.SnapshotElements();
+
+      for (const char* site : {"memgrid.apply.alloc", "memgrid.build.alloc",
+                               "memgrid.build.worker"}) {
+        const std::string ctx = std::string(site) +
+                                " shards=" + std::to_string(shards) +
+                                " threads=" + std::to_string(threads);
+        MemGrid victim = base;
+        fail::FailpointConfig fp;
+        fp.seed = 9;
+        fp.max_trips = 1;
+        fail::Registry::Global().Arm(site, fp);
+        EXPECT_THROW(victim.ApplyUpdates(updates), fail::FaultInjected)
+            << ctx;
+        fail::Registry::Global().DisarmAll();
+
+        std::string err;
+        ASSERT_TRUE(victim.CheckInvariants(&err)) << ctx << ": " << err;
+        EXPECT_TRUE(SameElements(victim.SnapshotElements(), pre)) << ctx;
+        core::MemGridUpdateStats want = base.update_stats();
+        ++want.rollbacks;
+        EXPECT_TRUE(SameStats(victim.update_stats(), want)) << ctx;
+        EXPECT_EQ(victim.Shape().max_half_extent,
+                  base.Shape().max_half_extent)
+            << ctx;
+        ASSERT_EQ(victim.ApplyUpdates(updates), updates.size()) << ctx;
+        EXPECT_TRUE(SameElements(victim.SnapshotElements(), post)) << ctx;
+        EXPECT_EQ(victim.update_stats().rebuilds, 2u) << ctx;
+        ASSERT_TRUE(victim.CheckInvariants(&err)) << ctx << ": " << err;
+      }
+    }
+  }
+}
+
 // An incremental compaction pass that dies mid-copy is absorbed: the
 // shard falls back to a full re-layout and the batch's results stand.
 TEST_F(FaultInjectionTest, CompactionAbortDegradesToRelayout) {

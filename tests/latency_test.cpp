@@ -26,6 +26,8 @@
 #include "common/rng.h"
 #include "core/memgrid.h"
 #include "datagen/neuron.h"
+#include "datagen/plasticity.h"
+#include "grid/resolution.h"
 
 namespace simspatial::core {
 namespace {
@@ -143,6 +145,59 @@ TEST(LatencyTailTest, IncrementalCompactionBoundsApplyUpdatesStall) {
   EXPECT_GT(base.stats.relayouts, 0u)
       << "the churn loop no longer triggers the single-block re-layout; "
          "raise the migration pressure so the control stays meaningful";
+}
+
+// The paper's Figure-1 loop: every element moves every step (plasticity
+// kinetics), so each ApplyUpdates batch covers the whole grid and takes the
+// rebuild path. On the incremental path the zero-slack block would grow
+// through region relocations and re-lay-out every few steps at several
+// times the median; the rebuild path costs the same every step.
+TEST(LatencyTailTest, Figure1LoopHasNoRelayoutStalls) {
+  auto ds = datagen::GenerateNeuronsWithSize(200000);
+  const auto stats = grid::DatasetStats::Compute(ds.elements, ds.universe);
+  MemGridConfig cfg;
+  cfg.cell_size = std::max(
+      grid::ChooseCellSize(stats, std::max(1e-3, stats.mean_extent * 8.0)),
+      static_cast<float>(stats.max_extent) * 1.01f);
+  cfg.threads = 0;
+  MemGrid g(ds.universe, cfg);
+  g.Build(ds.elements);
+  datagen::PlasticityModel model(datagen::PlasticityConfig{}, ds.universe);
+  std::vector<ElementUpdate> updates;
+  // One untimed warm-up step: the first rebuild allocates the storage
+  // that every later one recycles.
+  model.Step(&ds.elements, &updates);
+  g.ApplyUpdates(updates);
+  const int steps = 40;
+  bench::PercentileRecorder step_ms;
+  for (int step = 0; step < steps; ++step) {
+    model.Step(&ds.elements, &updates);
+    Stopwatch sw;
+    ASSERT_EQ(g.ApplyUpdates(updates), updates.size());
+    step_ms.Add(sw.ElapsedMs());
+  }
+  const MemGridUpdateStats& s = g.update_stats();
+  std::printf("figure-1 loop[n=%zu]: median %.3f ms, p95 %.3f ms, max %.3f ms "
+              "(x%.2f), relayouts %llu, rebuilds %llu\n",
+              ds.elements.size(), step_ms.P50(), step_ms.P95(), step_ms.Max(),
+              step_ms.P50() > 0 ? step_ms.Max() / step_ms.P50() : 0.0,
+              static_cast<unsigned long long>(s.relayouts),
+              static_cast<unsigned long long>(s.rebuilds));
+  EXPECT_EQ(s.relayouts, 0u);
+  EXPECT_EQ(s.rebuilds, static_cast<std::uint64_t>(steps) + 1);
+  EXPECT_LE(step_ms.Max(), 3.0 * step_ms.P50())
+      << "an ApplyUpdates step of the Figure-1 loop stalled";
+  std::string err;
+  ASSERT_TRUE(g.CheckInvariants(&err)) << err;
+  Rng qrng(17);
+  for (int q = 0; q < 6; ++q) {
+    const AABB query = AABB::FromCenterHalfExtent(
+        qrng.PointIn(ds.universe), qrng.Uniform(5.0f, 20.0f));
+    std::vector<ElementId> got;
+    g.RangeQuery(query, &got);
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got, ScanRange(ds.elements, query)) << "q" << q;
+  }
 }
 
 }  // namespace
