@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "common/failpoint.h"
@@ -43,17 +44,21 @@ constexpr std::size_t kCompactHeadroomFloor = 1024;
 /// passes; below this the pool dispatch costs more than it saves.
 constexpr std::size_t kParallelGrain = 1024;
 /// ApplyUpdates rebuilds instead of updating incrementally when the batch
-/// holds at least this fraction of the live elements AND the grid holds at
-/// least kRebuildMinElements. Set from bench_sec41_update_vs_rebuild's
-/// MemGrid rows (plasticity steps, threads 1 and 4): the rebuild costs the
-/// same at every fraction and wins from ~60% moved at n=1M and from
-/// ~90-100% at n=200k; at n=100k it only breaks even at 100%, and at
-/// n<=50k, where the incremental working set stays in cache, it never
-/// wins.
-constexpr double kRebuildBatchFraction = 0.75;
+/// applies at least this fraction of the live elements' worth of updates
+/// AND the grid holds at least kRebuildMinElements. Set from
+/// bench_sec41_update_vs_rebuild's MemGrid rows (plasticity steps, threads
+/// 1 and 4): the rebuild costs the same at every fraction; it wins from
+/// ~75% moved at n=1M, breaks even at 100% at n=200k-500k and loses
+/// there by ~20-30% at 90% and ~50-60% at 75%. An earlier, cheaper form
+/// of the path only broke even at 100% at n=100k and never won at
+/// n<=50k, where the incremental working set stays in cache. 0.9 bounds
+/// the wrong choice at ~30% either way.
+constexpr double kRebuildBatchFraction = 0.9;
 constexpr std::size_t kRebuildMinElements = 131072;
-/// scratch_src_ entry of an id the rebuild path's batch does not update.
-constexpr std::uint32_t kNoSource = 0xffffffffu;
+/// scratch_touched_ states: what the rebuild path's batch did to an id.
+constexpr std::uint8_t kUntouched = 0;
+constexpr std::uint8_t kUpdated = 1;
+constexpr std::uint8_t kMigrated = 2;
 /// Cap on the combined footprint of the per-thread count arrays
 /// (slots, i.e. 4 bytes each): threads are shed before the counting pass
 /// would allocate more than ~64 MB across workers.
@@ -122,6 +127,12 @@ void RadixSortDigits(std::vector<T>* a, std::vector<T>* scratch,
     for (const T v : *a) (*scratch)[count[(v >> shift) & 0xffu]++] = v;
     a->swap(*scratch);
   }
+}
+
+/// Frees `*v`'s allocation (clear() keeps it).
+template <typename T>
+void Release(std::vector<T>* v) {
+  std::vector<T>().swap(*v);
 }
 }  // namespace
 
@@ -346,15 +357,14 @@ void MemGrid::RebuildIndex(std::size_t n, float base_mhe,
 
 void MemGrid::BuildParallel(std::span<const Element> elements,
                             std::size_t chunks) {
-  // Pass 1: per-cell occupancy and the id range; pass 2 (LayoutRegions):
-  // entry-balanced shard boundaries, then per shard the region layout in
-  // layout-rank order with slack; pass 3: scatter. This is the O(n)
-  // "cheap rebuild" — no per-bucket allocations, one flat block per shard.
-  // Passes 1 and 3 are chunk-partitioned; within a cell, chunk c's
-  // elements precede chunk c+1's and keep their input order, so the
-  // concatenation over chunks IS the input order — the layout (and
-  // therefore every downstream query result) is bit-identical at every
-  // chunk count.
+  // Pass 1: per-cell occupancy and the id range; pass 2: entry-balanced
+  // shard boundaries, then per shard the region layout in layout-rank
+  // order with slack; pass 3: scatter. This is the O(n) "cheap rebuild" —
+  // no per-bucket allocations, one flat block per shard. Passes 1 and 3
+  // are chunk-partitioned; within a cell, chunk c's elements precede chunk
+  // c+1's and keep their input order, so the concatenation over chunks IS
+  // the input order — the layout (and therefore every downstream query
+  // result) is bit-identical at every chunk count.
   const std::size_t n = elements.size();
 #ifndef NDEBUG
   {
@@ -413,98 +423,18 @@ void MemGrid::BuildParallel(std::span<const Element> elements,
         "MemGrid::Build: element id kInvalidElement is reserved");
   }
   size_ = n;
-  LayoutRegions(chunks);
-  slots_.assign(n == 0 ? 0 : static_cast<std::size_t>(max_id) + 1, Slot{});
 
-  // Pass 3 (parallel scatter): chunk cursors are disjoint by construction,
-  // and ids are unique, so every block/slots_ store has one writer.
-  par::ParallelChunks(chunks, n, [&](std::size_t w, std::size_t begin,
-                                     std::size_t end) {
-    std::vector<std::uint32_t>& cursor = counts[w];
-    for (std::size_t i = begin; i < end; ++i) {
-      const Element& e = elements[i];
-      const std::uint32_t cell = cell_of[i];
-      const std::uint32_t pos = cursor[cell]++;
-      shards_[ShardOfCell(cell)].block[pos] = Entry{e.box, e.id};
-      slots_[e.id] = Slot{cell, pos};
-    }
-  });
-}
-
-void MemGrid::BuildGathered(std::span<const ElementUpdate> batch,
-                            std::size_t chunks) {
-  // BuildParallel's three passes over ids instead of elements: id i's
-  // cell is scratch_cell_of_[i] (kNoCell: not live), and its box is
-  // batch[scratch_src_[i]].new_box, or scratch_boxes_[i] when the batch
-  // does not update it. Boxes are read once, in the scatter.
-  const std::size_t ids = scratch_cell_of_.size();
-  const std::vector<std::uint32_t>& cell_of = scratch_cell_of_;
-  if (scratch_chunk_counts_.size() < chunks) {
-    scratch_chunk_counts_.resize(chunks);
-  }
-  std::vector<std::vector<std::uint32_t>>& counts = scratch_chunk_counts_;
-  std::vector<std::size_t> chunk_live(chunks, 0);
-  std::vector<std::size_t> chunk_end(chunks, 0);  // Last live id + 1.
-  par::ParallelChunks(chunks, ids, [&](std::size_t w, std::size_t begin,
-                                       std::size_t end) {
-    SIMSPATIAL_FAILPOINT("memgrid.build.worker");
-    std::vector<std::uint32_t>& c = counts[w];
-    c.assign(regions_.size(), 0);
-    std::size_t live = 0;
-    std::size_t last_end = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      if (cell_of[i] == kNoCell) continue;
-      ++c[cell_of[i]];
-      ++live;
-      last_end = i + 1;
-    }
-    chunk_live[w] = live;
-    chunk_end[w] = last_end;
-  });
-  size_ = 0;
-  std::size_t slot_count = 0;
-  for (std::size_t w = 0; w < chunks; ++w) {
-    size_ += chunk_live[w];
-    slot_count = std::max(slot_count, chunk_end[w]);
-  }
-  LayoutRegions(chunks);
-  // Every slot below slot_count is written by the scatter, so a recycled
-  // slot map needs no clearing pass.
-  slots_.resize(slot_count);
-
-  par::ParallelChunks(chunks, ids, [&](std::size_t w, std::size_t begin,
-                                       std::size_t end) {
-    std::vector<std::uint32_t>& cursor = counts[w];
-    for (std::size_t i = begin; i < std::min(end, slot_count); ++i) {
-      const std::uint32_t cell = cell_of[i];
-      if (cell == kNoCell) {
-        slots_[i] = Slot{};
-        continue;
-      }
-      const std::uint32_t src = scratch_src_[i];
-      const AABB& box =
-          src == kNoSource ? scratch_boxes_[i] : batch[src].new_box;
-      const std::uint32_t pos = cursor[cell]++;
-      shards_[ShardOfCell(cell)].block[pos] =
-          Entry{box, static_cast<ElementId>(i)};
-      slots_[i] = Slot{cell, pos};
-    }
-  });
-}
-
-void MemGrid::LayoutRegions(std::size_t chunks) {
   // Pass 2 (serial): combined per-cell counts feed the entry-balanced
   // shard boundaries, then the region layout walks each shard's rank
   // range; the per-(chunk, cell) counts become shard-block write cursors
   // for the scatter.
-  std::vector<std::vector<std::uint32_t>>& counts = scratch_chunk_counts_;
   std::vector<std::uint32_t>& combined = scratch_combined_;
   combined.assign(regions_.size(), 0);
   for (std::size_t w = 0; w < chunks; ++w) {
     const std::vector<std::uint32_t>& c = counts[w];
     for (std::size_t i = 0; i < combined.size(); ++i) combined[i] += c[i];
   }
-  PartitionShards(combined, size_);
+  PartitionShards(combined, n);
   for (Shard& sh : shards_) {
     std::size_t total = 0;
     std::size_t live = 0;
@@ -531,6 +461,21 @@ void MemGrid::LayoutRegions(std::size_t chunks) {
     sh.layout_budget = total;
     sh.live = live;
   }
+  slots_.assign(n == 0 ? 0 : static_cast<std::size_t>(max_id) + 1, Slot{});
+
+  // Pass 3 (parallel scatter): chunk cursors are disjoint by construction,
+  // and ids are unique, so every block/slots_ store has one writer.
+  par::ParallelChunks(chunks, n, [&](std::size_t w, std::size_t begin,
+                                     std::size_t end) {
+    std::vector<std::uint32_t>& cursor = counts[w];
+    for (std::size_t i = begin; i < end; ++i) {
+      const Element& e = elements[i];
+      const std::uint32_t cell = cell_of[i];
+      const std::uint32_t pos = cursor[cell]++;
+      shards_[ShardOfCell(cell)].block[pos] = Entry{e.box, e.id};
+      slots_[e.id] = Slot{cell, pos};
+    }
+  });
 }
 
 void MemGrid::RemoveFromCell(std::uint32_t cell, std::uint32_t pos) {
@@ -855,73 +800,72 @@ bool MemGrid::Update(ElementId id, const AABB& new_box) {
   return true;
 }
 
-std::size_t MemGrid::ApplyUpdatesByRebuild(
+std::optional<std::size_t> MemGrid::ApplyUpdatesByRebuild(
     std::span<const ElementUpdate> updates) {
   // RebuildIndex's stash/restore is the whole transaction: nothing below
   // touches the index or its counters before it commits, so a failure
-  // only has to count the rollback. The path is bound by memory traffic,
-  // not compute: the overlay records per id WHICH update holds its box
-  // instead of copying it, and only ids the batch leaves untouched are
-  // gathered.
+  // only has to count the rollback.
   MemGridUpdateStats batch;
   try {
     SIMSPATIAL_FAILPOINT("memgrid.apply.alloc");
     const std::size_t ids = slots_.size();
-    scratch_cell_of_.resize(ids);
-    scratch_src_.assign(ids, kNoSource);
-    scratch_migrated_.assign(ids, 0);
+    scratch_elements_.resize(ids);
+    scratch_touched_.assign(ids, kUntouched);
     // Overlay, in batch order: the last update per id wins. The counters
     // follow the incremental path exactly: an update is in place when its
     // cell is the id's current cell, and once an id has migrated in this
     // batch its later updates count only as updates (the incremental path
     // overwrites the staged move).
-    float batch_mhe = max_half_extent_;
-    std::size_t touched = 0;  // Distinct live ids the batch updates.
-    for (std::size_t i = 0; i < updates.size(); ++i) {
-      const ElementUpdate& u = updates[i];
+    for (const ElementUpdate& u : updates) {
       if (u.id >= ids) continue;
       const std::uint32_t old_cell = slots_[u.id].cell;
       if (old_cell == kNoCell) continue;
-      const Vec3 ext = u.new_box.Extent();
-      batch_mhe = std::max({batch_mhe, ext.x * 0.5f, ext.y * 0.5f,
-                            ext.z * 0.5f});
-      const auto cell =
-          static_cast<std::uint32_t>(CellOf(u.new_box.Center()));
-      scratch_cell_of_[u.id] = cell;
-      if (scratch_src_[u.id] == kNoSource) ++touched;
-      scratch_src_[u.id] = static_cast<std::uint32_t>(i);
+      scratch_elements_[u.id] = Element(u.id, u.new_box);
       ++batch.updates;
-      if (scratch_migrated_[u.id] != 0) continue;
-      if (cell == old_cell) {
+      std::uint8_t& touched = scratch_touched_[u.id];
+      if (touched == kMigrated) continue;
+      if (CellOf(u.new_box.Center()) == old_cell) {
         ++batch.in_place;
+        touched = kUpdated;
       } else {
         ++batch.migrations;
-        scratch_migrated_[u.id] = 1;
+        touched = kMigrated;
       }
     }
-    // Gather the current box and cell of every id the batch left
-    // untouched (parallel, by id); a dead id gets cell kNoCell. A batch
-    // that updates every live id (the Figure-1 loop) needs no box buffer,
-    // so its first rebuild does not fault one in.
-    if (touched < size_) scratch_boxes_.resize(ids);
+    // ApplyUpdates chose this path on the raw batch size; unknown and
+    // erased ids cost the incremental path next to nothing, so a batch
+    // whose applicable updates fall short goes back to it. (A repeated id
+    // costs the incremental path a full update each time, so repeats
+    // count.)
+    if (static_cast<double>(batch.updates) <
+        kRebuildBatchFraction * static_cast<double>(size_)) {
+      return std::nullopt;
+    }
+    // Gather the current box of every id the batch left untouched
+    // (parallel, by id); a dead id gets the reserved id and is dropped.
     par::ParallelChunks(
         par::ChunkCount(threads_, ids, kParallelGrain), ids,
         [&](std::size_t, std::size_t begin, std::size_t end) {
           for (std::size_t id = begin; id < end; ++id) {
-            if (scratch_src_[id] != kNoSource) continue;
+            if (scratch_touched_[id] != kUntouched) continue;
             const Slot s = slots_[id];
-            scratch_cell_of_[id] = s.cell;
-            if (s.cell != kNoCell) {
-              scratch_boxes_[id] = SpaceOf(s.cell)[s.pos].box;
-            }
+            scratch_elements_[id] =
+                s.cell == kNoCell
+                    ? Element()
+                    : Element(static_cast<ElementId>(id),
+                              SpaceOf(s.cell)[s.pos].box);
           }
         });
-    // The batch's half-extents are in batch_mhe and every other box is
-    // covered by max_half_extent_ already, so the build need not re-read
-    // them.
-    RebuildIndex(ids, batch_mhe, [&](std::size_t chunks) {
-      BuildGathered(updates, chunks);
-    });
+    if (size_ < ids) {
+      std::erase_if(scratch_elements_, [](const Element& e) {
+        return e.id == kInvalidElement;
+      });
+    }
+    // Starting from the current max_half_extent_ keeps it monotone.
+    RebuildIndex(scratch_elements_.size(), max_half_extent_,
+                 [&](std::size_t chunks) {
+                   BuildParallel(scratch_elements_, chunks);
+                 });
   } catch (...) {
     ++update_stats_.rollbacks;
     throw;
@@ -937,8 +881,16 @@ std::size_t MemGrid::ApplyUpdates(std::span<const ElementUpdate> updates) {
   if (size_ >= kRebuildMinElements &&
       static_cast<double>(updates.size()) >=
           kRebuildBatchFraction * static_cast<double>(size_)) {
-    return ApplyUpdatesByRebuild(updates);
+    if (const auto applied = ApplyUpdatesByRebuild(updates)) return *applied;
   }
+  // Off the rebuild path the grid keeps no second index: the spare
+  // storage and the rebuild path's buffers are released (nothing to do
+  // unless a rebuild or a second Build ran).
+  Release(&spare_shards_);
+  Release(&spare_regions_);
+  Release(&spare_slots_);
+  Release(&scratch_elements_);
+  Release(&scratch_touched_);
   struct Migration {
     ElementId id;
     AABB box;
@@ -1871,9 +1823,8 @@ MemGridShape MemGrid::Shape() const {
             (slots_.capacity() + spare_slots_.capacity()) * sizeof(Slot) +
             rank_of_cell_.capacity() * sizeof(std::uint32_t) +
             cell_of_rank_.capacity() * sizeof(std::uint32_t) +
-            scratch_src_.capacity() * sizeof(std::uint32_t) +
-            scratch_boxes_.capacity() * sizeof(AABB) +
-            scratch_migrated_.capacity();
+            scratch_elements_.capacity() * sizeof(Element) +
+            scratch_touched_.capacity();
   s.mean_occupancy = s.occupied_cells == 0
                          ? 0.0
                          : static_cast<double>(s.elements) /

@@ -72,13 +72,13 @@
 // full-index copy on the incremental mutation path.
 //
 // Batches that move most of a large grid skip all of the above (§4.1:
-// past a crossover, rebuilding beats updating). ApplyUpdates then overlays
-// the batch by id, gathers the boxes of the ids it leaves untouched and
-// rebuilds — no journal, no relocation, no compaction, no re-layout.
-// Every rebuild constructs
-// into the shard blocks, region table and slot map the previous rebuild
-// retired (the "spare" storage), so a steady-state rebuild-per-step loop
-// reuses its memory instead of faulting in fresh pages every step.
+// past a crossover, rebuilding beats updating). ApplyUpdates then gathers
+// every live element by id with the batch overlaid and Builds from that —
+// no journal, no relocation, no compaction, no re-layout. Every rebuild
+// constructs into the shard blocks, region table and slot map the
+// previous rebuild retired (the "spare" storage), so a steady-state
+// rebuild-per-step loop reuses its memory instead of faulting in fresh
+// pages every step; the next incremental batch frees the spare.
 //
 // Shards are also the intended NUMA/parallel seam: a shard's block,
 // regions and relocation arena are touched only through its rank range,
@@ -92,6 +92,7 @@
 #define SIMSPATIAL_CORE_MEMGRID_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -247,14 +248,15 @@ class MemGrid {
   /// counts the applied updates, and a repeated id ends with its last box.
   /// Two paths leave the same elements with the same boxes (storage order
   /// aside) and count the same updates / in_place / migrations:
-  ///   * rebuild — a batch of at least 3/4 of the live elements on a grid
-  ///     of at least 131072 (kRebuildBatchFraction / kRebuildMinElements,
-  ///     the crossover bench_sec41_update_vs_rebuild measures) overlays
-  ///     the batch in batch order, gathers the boxes of the ids it does
-  ///     not update and rebuilds into the spare storage. Build's stash
-  ///     gives the strong guarantee: on failure the grid is the pre-batch
-  ///     grid and update_stats().rollbacks counts it.
-  ///     update_stats().rebuilds counts the batches this path applied.
+  ///   * rebuild — a batch whose applicable updates (repeats included,
+  ///     unknown and erased ids not) number at least 9/10 of the live
+  ///     elements, on a grid of at least 131072 (kRebuildBatchFraction /
+  ///     kRebuildMinElements, the crossover bench_sec41_update_vs_rebuild
+  ///     measures), gathers every live element by id with the batch
+  ///     overlaid in batch order and Builds from that into the spare
+  ///     storage. Build's stash gives the strong guarantee: on failure the
+  ///     grid is the pre-batch grid and update_stats().rollbacks counts
+  ///     it. update_stats().rebuilds counts the batches this path applied.
   ///   * incremental — in-place writes applied immediately, migrations
   ///     grouped by destination cell, one max-half-extent reduction, then
   ///     one budget-bounded incremental compaction step (if configured).
@@ -264,6 +266,7 @@ class MemGrid {
   ///     (update_stats().rollbacks counts these). A failed incremental
   ///     compaction step after the batch commits is absorbed: the shard
   ///     falls back to a full re-layout (update_stats().compaction_aborts).
+  ///     This path frees the spare storage the rebuild path keeps.
   std::size_t ApplyUpdates(std::span<const ElementUpdate> updates);
 
   void RangeQuery(const AABB& range, std::vector<ElementId>* out,
@@ -531,17 +534,12 @@ class MemGrid {
   /// bit-identically at every chunk count. Throws std::invalid_argument
   /// on the reserved id kInvalidElement.
   void BuildParallel(std::span<const Element> elements, std::size_t chunks);
-  /// The same scatter over the ids ApplyUpdates' rebuild path gathered
-  /// (see scratch_src_); within a cell, ids stay in ascending order.
-  void BuildGathered(std::span<const ElementUpdate> batch,
-                     std::size_t chunks);
-  /// BuildParallel's serial middle pass, shared by both scatters: shard
-  /// boundaries and region layout from the per-chunk counts, which become
-  /// the scatter's write cursors. Sizes the (recycled) shard blocks.
-  void LayoutRegions(std::size_t chunks);
 
-  /// ApplyUpdates' rebuild path (see ApplyUpdates).
-  std::size_t ApplyUpdatesByRebuild(std::span<const ElementUpdate> updates);
+  /// ApplyUpdates' rebuild path (see ApplyUpdates). Returns nullopt, grid
+  /// untouched, when fewer than kRebuildBatchFraction of the live
+  /// elements' worth of the batch's updates apply (unknown or erased ids).
+  std::optional<std::size_t> ApplyUpdatesByRebuild(
+      std::span<const ElementUpdate> updates);
 
   /// ApplyUpdates undo journal: one record per logical mutation, in batch
   /// order. An element's pre-batch box is its FIRST record's box; reverse
@@ -613,7 +611,7 @@ class MemGrid {
   /// ApplyUpdates undo journal (member scratch: reserved once per batch
   /// up front, so journal pushes never throw mid-mutation).
   std::vector<UndoRecord> journal_;
-  /// Reused scratch for BuildParallel / BuildGathered (per-element cell
+  /// Reused scratch for BuildParallel (per-element cell
   /// ids, per-chunk count/cursor arrays, combined counts) — a
   /// rebuild-every-step policy calls Build per step, so its scratch is
   /// kept across calls too.
@@ -622,16 +620,16 @@ class MemGrid {
   std::vector<std::uint32_t> scratch_combined_;
   /// Storage of the index the last rebuild replaced, reused as the next
   /// rebuild's destination (only the shards' `block` allocations matter).
+  /// An incremental ApplyUpdates batch releases it, and the two buffers
+  /// below.
   std::vector<Shard> spare_shards_;
   std::vector<Region> spare_regions_;
   std::vector<Slot> spare_slots_;
-  /// ApplyUpdates' rebuild path, indexed by id (cells go to
-  /// scratch_cell_of_): the index of the id's last update in the batch
-  /// (kNoSource if none), the gathered box of an id the batch does not
-  /// update, and whether the batch has migrated the id.
-  std::vector<std::uint32_t> scratch_src_;
-  std::vector<AABB> scratch_boxes_;
-  std::vector<std::uint8_t> scratch_migrated_;
+  /// ApplyUpdates' rebuild path, indexed by id: the id's box after the
+  /// batch (kInvalidElement for a dead id) — the rebuild's input — and
+  /// what the batch did to it (untouched / updated / migrated).
+  std::vector<Element> scratch_elements_;
+  std::vector<std::uint8_t> scratch_touched_;
 };
 
 }  // namespace simspatial::core

@@ -27,7 +27,7 @@ std::vector<ElementId> Sorted(std::vector<ElementId> v) {
 }
 
 /// Apply `batch` in about three slices, each below ApplyUpdates' rebuild
-/// crossover (3/4 of the live elements), so the incremental path runs at
+/// crossover (9/10 of the live elements), so the incremental path runs at
 /// any grid size. Cuts never split a run of updates to one id. Returns the
 /// total applied.
 std::size_t ApplyInSlices(MemGrid* g, std::span<const ElementUpdate> batch) {
@@ -113,7 +113,7 @@ TEST(MemGridTest, PlasticityUpdatesAreOverwhelminglyInPlace) {
   std::vector<ElementUpdate> updates;
   for (int step = 0; step < 3; ++step) {
     model.Step(&ds.elements, &updates);
-    EXPECT_EQ(ApplyInSlices(&g, updates), updates.size());
+    EXPECT_EQ(g.ApplyUpdates(updates), updates.size());
   }
   EXPECT_EQ(g.update_stats().rebuilds, 0u);
   EXPECT_GT(g.update_stats().InPlaceFraction(), 0.97);
@@ -684,7 +684,7 @@ TEST(MemGridTest, RebuildIsCheaperThanPerElementWork) {
 }
 
 // --- ApplyUpdates: rebuild path vs incremental twin ----------------------
-// A batch of at least 3/4 of the live elements on a large grid takes
+// A batch of at least 9/10 of the live elements on a large grid takes
 // ApplyUpdates' rebuild path; the same batch in slices below that
 // crossover takes the incremental path. Apart from storage order the two
 // must agree on everything: live elements and boxes, applied counts,
@@ -837,6 +837,53 @@ TEST(MemGridRebuildPathTest, MatchesIncrementalTwinAcrossConfigs) {
         }
       }
     }
+  }
+}
+
+TEST(MemGridRebuildPathTest, ChoosesOnApplicableUpdatesAndFreesSpareAfter) {
+  const auto elems = GenerateUniformBoxes(140000, kUniverse, 0.1f, 0.8f, 92);
+  MemGrid g(kUniverse, MemGridConfig{.cell_size = 4.0f, .threads = 2});
+  g.Build(elems);
+  const std::size_t built_bytes = g.Shape().bytes;
+  Rng rng(5);
+  const auto nudged = [&](const Element& e) {
+    return e.box.Translated(Vec3(rng.Normal(0, 0.05f), rng.Normal(0, 0.05f),
+                                 rng.Normal(0, 0.05f)));
+  };
+  // Half the elements updated, padded past 9/10 of the grid with unknown
+  // ids: the applicable updates fall short, so the batch stays
+  // incremental.
+  std::vector<ElementUpdate> padded;
+  for (std::size_t i = 0; i < elems.size() / 2; ++i) {
+    padded.emplace_back(elems[i].id, elems[i].box);
+    padded.emplace_back(static_cast<ElementId>(elems.size() + i),
+                        nudged(elems[i]));
+  }
+  EXPECT_EQ(g.ApplyUpdates(padded), elems.size() / 2);
+  EXPECT_EQ(g.update_stats().rebuilds, 0u);
+  // Half the elements updated twice each: repeats count, so the batch
+  // rebuilds.
+  std::vector<ElementUpdate> repeated;
+  for (std::size_t i = 0; i < elems.size() / 2; ++i) {
+    repeated.emplace_back(elems[i].id, nudged(elems[i]));
+    repeated.emplace_back(elems[i].id, elems[i].box);
+  }
+  EXPECT_EQ(g.ApplyUpdates(repeated), repeated.size());
+  EXPECT_EQ(g.update_stats().rebuilds, 1u);
+  // The replaced index is kept as the next rebuild's destination ...
+  EXPECT_GT(g.Shape().bytes, built_bytes * 3 / 2);
+  // ... until the next incremental batch frees it.
+  const std::vector<ElementUpdate> small(repeated.begin(),
+                                         repeated.begin() + 1000);
+  g.ApplyUpdates(small);
+  EXPECT_EQ(g.update_stats().rebuilds, 1u);
+  EXPECT_LE(g.Shape().bytes, built_bytes * 5 / 4);
+  std::string err;
+  ASSERT_TRUE(g.CheckInvariants(&err)) << err;
+  const std::vector<Element> got = g.SnapshotElements();
+  ASSERT_EQ(got.size(), elems.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(got[i].box == elems[i].box) << "id " << got[i].id;
   }
 }
 

@@ -164,8 +164,9 @@ TEST(LatencyTailTest, Figure1LoopHasNoRelayoutStalls) {
   g.Build(ds.elements);
   datagen::PlasticityModel model(datagen::PlasticityConfig{}, ds.universe);
   std::vector<ElementUpdate> updates;
-  // One untimed warm-up step: the first rebuild allocates the storage
-  // that every later one recycles.
+  // One untimed warm-up step: the first rebuild after Build faults in the
+  // storage every later one recycles, and so costs about twice a steady
+  // step (ROADMAP item 5 tracks it). The bound is on the steady state.
   model.Step(&ds.elements, &updates);
   g.ApplyUpdates(updates);
   const int steps = 40;

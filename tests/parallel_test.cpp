@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
-#include <span>
 #include <vector>
 
 #include "common/bruteforce.h"
@@ -74,19 +73,6 @@ std::vector<NamedDataset> BatteryDatasets() {
 // Shard counts the battery crosses with layouts and thread counts; 1 is
 // the single-block reference.
 const std::uint32_t kShardCounts[] = {1, 2, 3, 8};
-
-/// Apply `batch` in three slices, each below ApplyUpdates' rebuild
-/// crossover (3/4 of the live elements), so the incremental path — and its
-/// compaction step — runs at any grid size. Returns the total applied.
-std::size_t ApplyInSlices(MemGrid* g, std::span<const ElementUpdate> batch) {
-  const std::size_t third = std::max<std::size_t>(1, (batch.size() + 2) / 3);
-  std::size_t applied = 0;
-  for (std::size_t b = 0; b < batch.size(); b += third) {
-    applied += g->ApplyUpdates(
-        batch.subspan(b, std::min(third, batch.size() - b)));
-  }
-  return applied;
-}
 
 MemGrid MakeGrid(const std::vector<Element>& elements, std::uint32_t threads,
                  float cell_size = 4.0f,
@@ -673,7 +659,7 @@ TEST(ShardDeterminismTest, ApplyUpdatesIdenticalAcrossShardsAndCompaction) {
     bool saw_compacting = false;
     for (int round = 0; round < 4; ++round) {
       const auto batch = SeededUpdateBatch(&mirror, &rng);
-      const std::size_t want_applied = ApplyInSlices(&reference, batch);
+      const std::size_t want_applied = reference.ApplyUpdates(batch);
       const std::vector<ElementId> want_layout = LayoutOrder(reference);
       const MemGridUpdateStats& ws = reference.update_stats();
       for (std::size_t gi = 0; gi < grids.size(); ++gi) {
@@ -685,7 +671,7 @@ TEST(ShardDeterminismTest, ApplyUpdatesIdenticalAcrossShardsAndCompaction) {
                  std::to_string(kConfigs[gi].threads) + " round " +
                  std::to_string(round);
         };
-        EXPECT_EQ(ApplyInSlices(&g, batch), want_applied) << label();
+        EXPECT_EQ(g.ApplyUpdates(batch), want_applied) << label();
         std::string err;
         ASSERT_TRUE(g.CheckInvariants(&err)) << label() << ": " << err;
         // The full-scan emission order is invariant under sharding AND
@@ -698,6 +684,7 @@ TEST(ShardDeterminismTest, ApplyUpdatesIdenticalAcrossShardsAndCompaction) {
         EXPECT_EQ(s.updates, ws.updates) << label();
         EXPECT_EQ(s.in_place, ws.in_place) << label();
         EXPECT_EQ(s.migrations, ws.migrations) << label();
+        EXPECT_EQ(s.rebuilds, 0u) << label();
         saw_compacting |= g.Shape().compacting_shards > 0;
       }
     }
@@ -745,7 +732,7 @@ TEST(ShardDeterminismTest, IncrementalCompactionReclaimsChurnWithoutRelayout) {
       }
       batch.emplace_back(e.id, e.box);
     }
-    ASSERT_EQ(ApplyInSlices(&g, batch), batch.size()) << "round " << round;
+    ASSERT_EQ(g.ApplyUpdates(batch), batch.size()) << "round " << round;
     if (round % 10 == 9) {
       std::string err;
       ASSERT_TRUE(g.CheckInvariants(&err)) << "round " << round << ": "
@@ -939,10 +926,10 @@ TEST(BatchDeterminismTest, BatchIdenticalMidCompaction) {
     bool saw_compacting = false;
     for (int round = 0; round < 3; ++round) {
       const auto batch = SeededUpdateBatch(&mirror, &rng);
-      ApplyInSlices(&reference, batch);
+      reference.ApplyUpdates(batch);
       for (std::size_t gi = 0; gi < grids.size(); ++gi) {
         MemGrid& g = grids[gi];
-        ApplyInSlices(&g, batch);
+        g.ApplyUpdates(batch);
         saw_compacting |= g.Shape().compacting_shards > 0;
         const std::string label =
             std::string("layout=") + ToString(layout) + " shards=" +
