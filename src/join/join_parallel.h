@@ -1,14 +1,15 @@
 // SimSpatial — deterministic parallel scaffolding shared by the joins.
 //
 // Every join in this directory parallelises the same way MemGrid's
-// SelfJoin does (see common/parallel.h): the work units — sorted grid
-// cells, flat PBSM cell indices, TOUCH hierarchy nodes — already form a
-// deterministically-ordered sequence, so we split that sequence into
-// contiguous chunks whose boundaries depend only on (n, chunks), give each
-// worker a private shard (pairs + counters), and concatenate the shards in
-// chunk order. The merged output is bit-identical to the serial result —
-// same pairs, same order, same counter totals — for ANY thread count,
-// including 0/1 (ParallelChunks runs a single chunk inline on the caller).
+// SelfJoin does (see common/parallel.h): the work units — the grid join's
+// occupied cells in ascending key order, flat PBSM cell indices, TOUCH
+// hierarchy nodes — already form a deterministically-ordered sequence, so
+// we split that sequence into contiguous chunks whose boundaries depend
+// only on (n, chunks), give each worker a private shard (pairs +
+// counters), and concatenate the shards in chunk order. The merged output
+// is bit-identical to the serial result — same pairs, same order, same
+// counter totals — for ANY thread count, including 0/1 (ParallelChunks
+// runs a single chunk inline on the caller).
 
 #ifndef SIMSPATIAL_JOIN_JOIN_PARALLEL_H_
 #define SIMSPATIAL_JOIN_JOIN_PARALLEL_H_

@@ -106,11 +106,12 @@ struct GridJoinOptions {
   /// Enable the small-cell shortcut: when geometry guarantees that two
   /// boxes whose centres share a cell must intersect, skip their test.
   bool small_cell_shortcut = true;
-  /// Worker threads for the cell-pair phase (centre assignment stays
-  /// serial). Occupied cells are visited in sorted key order — serial and
-  /// parallel alike — and shards merged in chunk order, so the output is
-  /// bit-identical for every value. 0/1 = serial, kThreadsAuto =
-  /// hardware concurrency.
+  /// Worker threads for the whole join: extent reduction, centre-cell
+  /// keys, the radix sort and gather that build the cell grid, and the
+  /// cell-pair phase. Occupied cells are visited in ascending key order —
+  /// serial and parallel alike — each cell's elements in input order, and
+  /// shards merged in chunk order, so the output is bit-identical for
+  /// every value. 0/1 = serial, kThreadsAuto = hardware concurrency.
   std::uint32_t threads = par::kThreadsAuto;
 };
 

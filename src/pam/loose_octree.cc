@@ -11,6 +11,7 @@ LooseOctree::LooseOctree(const AABB& universe, LooseOctreeOptions options)
   const Vec3 ext = universe.Extent();
   root_side_ = std::max({ext.x, ext.y, ext.z, 1e-6f});
   options_.levels = std::max<std::uint32_t>(1, options_.levels);
+  bounds_.resize(options_.levels);
 }
 
 float LooseOctree::CellSize(std::uint32_t level) const {
@@ -46,9 +47,19 @@ LooseOctree::CellKey LooseOctree::CellFor(const AABB& box) const {
   return CellAt(level, box.Center());
 }
 
+void LooseOctree::Widen(const CellKey& key) {
+  KeyBounds& b = bounds_[key.level];
+  const std::int32_t k[3] = {key.x, key.y, key.z};
+  for (int a = 0; a < 3; ++a) {
+    b.lo[a] = std::min(b.lo[a], k[a]);
+    b.hi[a] = std::max(b.hi[a], k[a]);
+  }
+}
+
 void LooseOctree::Build(std::span<const Element> elements) {
   cells_.clear();
   placement_.clear();
+  bounds_.assign(options_.levels, KeyBounds{});
   placement_.reserve(elements.size());
   for (const Element& e : elements) Insert(e);
 }
@@ -56,6 +67,7 @@ void LooseOctree::Build(std::span<const Element> elements) {
 void LooseOctree::Insert(const Element& element) {
   assert(placement_.find(element.id) == placement_.end());
   const CellKey key = CellFor(element.box);
+  Widen(key);
   cells_[key].push_back(element.id);
   placement_.emplace(element.id, Placement{element.box, key});
 }
@@ -89,6 +101,7 @@ bool LooseOctree::Update(ElementId id, const AABB& new_box) {
   *pos = old_vec.back();
   old_vec.pop_back();
   if (old_vec.empty()) cells_.erase(old_it);
+  Widen(new_cell);
   cells_[new_cell].push_back(id);
   it->second.box = new_box;
   it->second.cell = new_cell;
@@ -112,8 +125,17 @@ void LooseOctree::RangeQuery(const AABB& range, std::vector<ElementId>* out,
     // A cell can hold elements reaching half a cell beyond its bounds, so
     // the probe range is inflated by half a cell (the loose overhead).
     const float half = CellSize(level) * 0.5f;
-    const CellKey lo = CellAt(level, range.min - Vec3(half, half, half));
-    const CellKey hi = CellAt(level, range.max + Vec3(half, half, half));
+    CellKey lo = CellAt(level, range.min - Vec3(half, half, half));
+    CellKey hi = CellAt(level, range.max + Vec3(half, half, half));
+    // Only keys inside the level's bounds can be occupied: a huge probe
+    // (kNN's doubling cube) enumerates the occupied extent, not its span.
+    const KeyBounds& b = bounds_[level];
+    lo.x = std::max(lo.x, b.lo[0]);
+    lo.y = std::max(lo.y, b.lo[1]);
+    lo.z = std::max(lo.z, b.lo[2]);
+    hi.x = std::min(hi.x, b.hi[0]);
+    hi.y = std::min(hi.y, b.hi[1]);
+    hi.z = std::min(hi.z, b.hi[2]);
     // An inverted cell span probes no cell; skipping it also keeps the
     // span arithmetic below from overflowing on clamped extreme keys.
     if (hi.x < lo.x || hi.y < lo.y || hi.z < lo.z) continue;
@@ -200,6 +222,12 @@ bool LooseOctree::CheckInvariants(std::string* error) const {
       return false;
     }
     slots += vec.size();
+    const KeyBounds& b = bounds_[key.level];
+    if (key.x < b.lo[0] || key.x > b.hi[0] || key.y < b.lo[1] ||
+        key.y > b.hi[1] || key.z < b.lo[2] || key.z > b.hi[2]) {
+      if (error != nullptr) *error = "occupied key outside its level bounds";
+      return false;
+    }
     const float cell = CellSize(key.level);
     for (const ElementId id : vec) {
       const auto it = placement_.find(id);

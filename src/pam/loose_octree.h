@@ -76,15 +76,27 @@ class LooseOctree {
     AABB box;
     CellKey cell;
   };
+  /// Bounds of the keys a level has held since Build, per axis; empty
+  /// (lo > hi) until the level's first insert.
+  struct KeyBounds {
+    std::int32_t lo[3] = {INT32_MAX, INT32_MAX, INT32_MAX};
+    std::int32_t hi[3] = {INT32_MIN, INT32_MIN, INT32_MIN};
+  };
 
   CellKey CellFor(const AABB& box) const;
   CellKey CellAt(std::uint32_t level, const Vec3& p) const;
+  /// Widens `key`'s level bounds to cover it. Bounds never shrink, so they
+  /// cover every occupied key.
+  void Widen(const CellKey& key);
 
   AABB universe_;
   LooseOctreeOptions options_;
   float root_side_;
   std::unordered_map<CellKey, std::vector<ElementId>, CellKeyHash> cells_;
   std::unordered_map<ElementId, Placement> placement_;
+  /// Per level: RangeQuery enumerates only the part of a probe's key span
+  /// inside these bounds.
+  std::vector<KeyBounds> bounds_;
 };
 
 }  // namespace simspatial::pam

@@ -135,6 +135,7 @@ void Simulation::Monitor(StepReport* report) {
   // Synapse detection (§2.2): distance self-join every few steps.
   if (config_.synapse_every > 0 && step_ % config_.synapse_every == 0) {
     join::GridJoinOptions opts;
+    opts.threads = config_.index_threads;
     const auto pairs =
         join::GridSelfJoin(elements_, config_.synapse_eps, opts,
                            &report->query_counters);

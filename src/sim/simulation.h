@@ -92,10 +92,12 @@ const char* ToString(MaintenancePolicy policy);
 
 struct SimulationConfig {
   std::string index_name = "memgrid";
-  /// Worker threads handed to the index (core::IndexOptions::threads):
+  /// Worker threads handed to the index (core::IndexOptions::threads) and
+  /// to the synapse self-join (join::GridJoinOptions::threads):
   /// par::kThreadsAuto resolves to the hardware concurrency, 0 and 1 run
   /// on the calling thread. Parallel-capable structures (MemGrid) use it for
-  /// Build / ApplyUpdates / SelfJoin; others ignore it.
+  /// Build / ApplyUpdates / SelfJoin; others ignore it. Step results are
+  /// identical at every value.
   std::uint32_t index_threads = par::kThreadsAuto;
   /// Cell-region storage order for the base MemGrid profiles
   /// (core::IndexOptions::layout): kRowMajor | kMorton | kHilbert. Other

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "common/bruteforce.h"
@@ -395,6 +396,92 @@ TEST(JoinEdgeCaseTest, ZeroExtentElementsWithEps) {
         std::pair{"grid", join::GridSelfJoin(elems, 0.7f)}}) {
     SortPairs(&pairs);
     EXPECT_EQ(pairs, want) << name;
+  }
+}
+
+// The grid join's centre-cell keys come from a float -> int32 cast. Huge
+// finite coordinates clamp to the edge of the key range, where far-apart
+// centres can share a cell; the join must stay exact there, and the
+// small-cell shortcut (pairs emitted untested) must not engage. Fat boxes
+// at +-3e9 on a 1.0 cell meet the shortcut's geometric precondition while
+// every key is clamped.
+TEST(JoinEdgeCaseTest, GridJoinHugeCoordinatesMatchNestedLoop) {
+  const auto cube = [](float c, float half) {
+    return AABB::FromCenterHalfExtent(Vec3(c, c, c), half);
+  };
+  std::vector<Element> huge;
+  std::vector<Element> fat;
+  ElementId id = 0;
+  for (const float sign : {1.0f, -1.0f}) {
+    for (int k = 0; k < 5; ++k) {
+      const float spread = 1.0f + 0.01f * static_cast<float>(k);
+      huge.emplace_back(id++, cube(sign * 1e30f * spread, 0.5f));
+      huge.emplace_back(id++, cube(sign * 3e9f * spread, 0.5f));
+      fat.emplace_back(id++, cube(sign * 3e9f * spread, 1000.0f));
+    }
+    huge.emplace_back(id++, cube(sign * 1e30f, 0.5f));  // Duplicates.
+    fat.emplace_back(id++, cube(sign * 3e9f, 1000.0f));
+  }
+  for (int i = 0; i < 4; ++i) {
+    const float c = 0.1f * static_cast<float>(i);
+    huge.emplace_back(id++, cube(c, 0.5f));
+    fat.emplace_back(id++, cube(c, 1000.0f));
+  }
+  for (const auto& [name, elems] : {std::pair{"huge", huge},
+                                    std::pair{"fat", fat}}) {
+    std::vector<Element> other;
+    for (const Element& e : elems) other.emplace_back(e.id + 1000, e.box);
+    for (const float eps : {0.0f, 0.5f}) {
+      auto want = NestedLoopSelfJoin(elems, eps);
+      SortPairs(&want);
+      auto want_binary = NestedLoopJoin(elems, other, eps);
+      SortPairs(&want_binary);
+      for (const float cell : {0.0f, 1.0f}) {
+        join::GridJoinOptions opts;
+        opts.cell_size = cell;
+        join::GridJoinStats stats;
+        auto got = join::GridSelfJoin(elems, eps, opts, nullptr, &stats);
+        SortPairs(&got);
+        EXPECT_EQ(got, want) << name << " eps=" << eps << " cell=" << cell;
+        EXPECT_EQ(stats.skipped_tests, 0u) << name << " cell=" << cell;
+        auto binary = join::GridJoin(elems, other, eps, opts);
+        SortPairs(&binary);
+        EXPECT_EQ(binary, want_binary)
+            << name << " eps=" << eps << " cell=" << cell;
+      }
+    }
+  }
+}
+
+// A NaN centre goes to a fixed cell (here the one every other centre
+// shares) and turns the shortcut off, so the NaN box is tested like any
+// other and matches nothing. The strict UBSan build checks the casts.
+TEST(JoinEdgeCaseTest, GridJoinNaNElementRunsClean) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<Element> elems;
+  for (ElementId i = 0; i < 6; ++i) {
+    const float c = 0.05f * static_cast<float>(i);
+    elems.emplace_back(i, AABB::FromCenterHalfExtent(Vec3(c, c, c), 3.0f));
+  }
+  elems.emplace_back(6, AABB(Vec3(nan, -2.9f, -2.9f), Vec3(nan, 3.1f, 3.1f)));
+  elems.emplace_back(7, AABB(Vec3(nan, nan, nan), Vec3(nan, nan, nan)));
+  for (const float eps : {0.0f, 0.5f}) {
+    auto want = NestedLoopSelfJoin(elems, eps);
+    SortPairs(&want);
+    for (const float cell : {0.0f, 0.5f}) {
+      join::GridJoinOptions opts;
+      opts.cell_size = cell;
+      join::GridJoinStats stats;
+      auto got = join::GridSelfJoin(elems, eps, opts, nullptr, &stats);
+      SortPairs(&got);
+      EXPECT_EQ(got, want) << "eps=" << eps << " cell=" << cell;
+      EXPECT_EQ(stats.skipped_tests, 0u) << "eps=" << eps << " cell=" << cell;
+      auto binary = join::GridJoin(elems, elems, eps, opts);
+      auto want_binary = NestedLoopJoin(elems, elems, eps);
+      SortPairs(&binary);
+      SortPairs(&want_binary);
+      EXPECT_EQ(binary, want_binary) << "eps=" << eps << " cell=" << cell;
+    }
   }
 }
 

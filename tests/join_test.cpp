@@ -1,9 +1,18 @@
 // Spatial joins: every algorithm must produce the nested-loop reference
-// pair set on every dataset shape and epsilon.
+// pair set on every dataset shape and epsilon, and the grid joins must
+// reproduce the hash-grid reference's exact emission.
 
 #include "join/spatial_join.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <string>
 
 #include "common/bruteforce.h"
 #include "common/rng.h"
@@ -201,6 +210,196 @@ TEST(JoinPropertyTest, GridJoinDefaultCellIsComplete) {
   SortPairs(&got);
   EXPECT_EQ(got, Reference(elems, 0.3f));
 }
+
+// --- Exact grid-join emission -------------------------------------------------
+
+// The hash-grid algorithm the flat grid replaced, kept as the reference:
+// centre cells in ascending key order (a std::map), each cell's elements in
+// input order, and 13 (self) or 27 (binary) neighbour lookups per cell.
+struct RefJoin {
+  std::vector<JoinPair> pairs;
+  QueryCounters counters;
+  std::uint64_t skipped = 0;
+  float cell = 0;
+};
+
+using RefGrid = std::map<std::array<std::int32_t, 3>,
+                         std::vector<const Element*>>;
+
+RefGrid RefFill(const std::vector<Element>& elems, float inv) {
+  RefGrid g;
+  for (const Element& e : elems) {
+    const Vec3 p = e.Center();
+    g[{static_cast<std::int32_t>(std::floor(p.x * inv)),
+       static_cast<std::int32_t>(std::floor(p.y * inv)),
+       static_cast<std::int32_t>(std::floor(p.z * inv))}]
+        .push_back(&e);
+  }
+  return g;
+}
+
+float RefCell(const std::vector<Element>& elems, float eps,
+              const GridJoinOptions& o, float* min_extent) {
+  float lo = std::numeric_limits<float>::max();
+  float hi = 0.0f;
+  for (const Element& e : elems) {
+    const Vec3 x = e.box.Extent();
+    lo = std::min({lo, x.x, x.y, x.z});
+    hi = std::max({hi, x.x, x.y, x.z});
+  }
+  if (min_extent != nullptr) *min_extent = lo;
+  return std::max(o.cell_size > 0.0f ? o.cell_size : hi + eps + 1e-5f, 1e-5f);
+}
+
+RefJoin RefSelfJoin(const std::vector<Element>& elems, float eps,
+                    const GridJoinOptions& o) {
+  constexpr int kFwd[13][3] = {{1, 0, 0},  {0, 1, 0},  {0, 0, 1},
+                               {1, 1, 0},  {1, -1, 0}, {1, 0, 1},
+                               {1, 0, -1}, {0, 1, 1},  {0, 1, -1},
+                               {1, 1, 1},  {1, 1, -1}, {1, -1, 1},
+                               {1, -1, -1}};
+  RefJoin r;
+  float min_extent = 0.0f;
+  r.cell = RefCell(elems, eps, o, &min_extent);
+  const RefGrid g = RefFill(elems, 1.0f / r.cell);
+  const bool shortcut = o.small_cell_shortcut && eps == 0.0f &&
+                        min_extent >= 2.0f * r.cell * std::sqrt(3.0f);
+  const auto test = [&](const Element* a, const Element* b, bool same) {
+    if (same && shortcut) {
+      ++r.skipped;
+    } else {
+      ++r.counters.element_tests;
+      if (!PairMatches(a->box, b->box, eps)) return;
+    }
+    r.pairs.emplace_back(std::min(a->id, b->id), std::max(a->id, b->id));
+  };
+  for (const auto& [key, bucket] : g) {
+    ++r.counters.nodes_visited;
+    for (std::size_t i = 0; i < bucket.size(); ++i) {
+      for (std::size_t j = i + 1; j < bucket.size(); ++j) {
+        test(bucket[i], bucket[j], true);
+      }
+    }
+    for (const auto& d : kFwd) {
+      const auto it = g.find({key[0] + d[0], key[1] + d[1], key[2] + d[2]});
+      if (it == g.end()) continue;
+      ++r.counters.structure_tests;
+      for (const Element* a : bucket) {
+        for (const Element* b : it->second) test(a, b, false);
+      }
+    }
+  }
+  r.counters.results = r.pairs.size();
+  return r;
+}
+
+RefJoin RefBinaryJoin(const std::vector<Element>& a,
+                      const std::vector<Element>& b, float eps,
+                      const GridJoinOptions& o) {
+  RefJoin r;
+  std::vector<Element> both = a;
+  both.insert(both.end(), b.begin(), b.end());
+  r.cell = RefCell(both, eps, o, nullptr);
+  const RefGrid ga = RefFill(a, 1.0f / r.cell);
+  const RefGrid gb = RefFill(b, 1.0f / r.cell);
+  for (const auto& [key, bucket_b] : gb) {
+    ++r.counters.nodes_visited;
+    for (int d = 0; d < 27; ++d) {
+      const auto it = ga.find({key[0] + d / 9 - 1, key[1] + d / 3 % 3 - 1,
+                               key[2] + d % 3 - 1});
+      if (it == ga.end()) continue;
+      ++r.counters.structure_tests;
+      for (const Element* eb : bucket_b) {
+        for (const Element* ea : it->second) {
+          ++r.counters.element_tests;
+          if (PairMatches(ea->box, eb->box, eps)) {
+            r.pairs.emplace_back(ea->id, eb->id);
+          }
+        }
+      }
+    }
+  }
+  r.counters.results = r.pairs.size();
+  return r;
+}
+
+struct EmissionCase {
+  const char* name;
+  std::vector<Element> elems;
+  float cell_size;  // 0 = the join's default.
+};
+
+class GridEmissionTest : public ::testing::TestWithParam<int> {};
+
+EmissionCase MakeEmissionCase(int which) {
+  const AABB straddle(Vec3(-30, -30, -30), Vec3(30, 30, 30));
+  switch (which) {
+    case 0:
+      return {"neurons", GenerateNeuronsWithSize(2000).elements, 0.0f};
+    case 1:
+      return {"uniform", GenerateUniformBoxes(1500, kUniverse, 0.2f, 0.8f),
+              0.0f};
+    case 2:
+      return {"clustered",
+              GenerateClusteredBoxes(1500, kUniverse, 6, 3.0f, 0.2f, 0.6f),
+              0.0f};
+    case 3:
+      return {"straddling_zero",
+              GenerateUniformBoxes(1500, straddle, 0.2f, 0.8f), 0.0f};
+    case 4: {
+      std::vector<Element> same;
+      for (ElementId i = 0; i < 120; ++i) {
+        same.emplace_back(i, AABB(Vec3(4, 4, 4), Vec3(5, 5, 5)));
+      }
+      return {"identical", same, 0.0f};
+    }
+    default:  // Fat boxes on a small cell: the shortcut engages at eps 0.
+      return {"small_cell_shortcut",
+              GenerateClusteredBoxes(600, kUniverse, 3, 1.0f, 4.0f, 6.0f),
+              2.0f};
+  }
+}
+
+TEST_P(GridEmissionTest, MatchesHashGridReferenceAtEveryThreadCount) {
+  const EmissionCase c = MakeEmissionCase(GetParam());
+  const std::size_t half = c.elems.size() / 2;
+  const std::vector<Element> a(c.elems.begin(), c.elems.begin() + half);
+  const std::vector<Element> b(c.elems.begin() + half, c.elems.end());
+  for (const float eps : {0.0f, 0.5f}) {
+    GridJoinOptions o;
+    o.cell_size = c.cell_size;
+    const RefJoin self = RefSelfJoin(c.elems, eps, o);
+    const RefJoin binary = RefBinaryJoin(a, b, eps, o);
+    if (c.cell_size > 0.0f && eps == 0.0f) {
+      EXPECT_GT(self.skipped, 0u) << "shortcut did not engage";
+    }
+    for (const std::uint32_t threads : {0u, 2u, par::kThreadsAuto}) {
+      o.threads = threads;
+      const std::string at = std::string(c.name) + " eps=" +
+                             std::to_string(eps) +
+                             " threads=" + std::to_string(threads);
+      QueryCounters counters;
+      GridJoinStats stats;
+      EXPECT_EQ(GridSelfJoin(c.elems, eps, o, &counters, &stats),
+                self.pairs)
+          << at;
+      EXPECT_EQ(counters, self.counters) << at;
+      EXPECT_EQ(stats.skipped_tests, self.skipped) << at;
+      EXPECT_EQ(stats.cell_size, self.cell) << at;
+      QueryCounters bc;
+      GridJoinStats bstats;
+      EXPECT_EQ(GridJoin(a, b, eps, o, &bc, &bstats), binary.pairs) << at;
+      EXPECT_EQ(bc, binary.counters) << at;
+      EXPECT_EQ(bstats.cell_size, binary.cell) << at;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Datasets, GridEmissionTest, ::testing::Range(0, 6),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::string(
+                               MakeEmissionCase(info.param).name);
+                         });
 
 }  // namespace
 }  // namespace simspatial::join

@@ -247,5 +247,30 @@ TEST(LooseOctreeTest, LoosenessCausesExtraTests) {
   EXPECT_GT(c.element_tests, out.size());
 }
 
+// A probe far larger than the universe (kNN with k > n doubles its cube
+// to the far corner) enumerates only the keys each level has held, not
+// its whole key span, and answers exactly as before.
+TEST(LooseOctreeTest, HugeProbeEnumeratesOnlyOccupiedKeys) {
+  const auto elems = GenerateUniformBoxes(300, kUniverse, 0.1f, 0.4f);
+  LooseOctree t(kUniverse);
+  t.Build(elems);
+  // Centres inside the universe have keys in [0, 2^level] per axis.
+  std::uint64_t occupied_span = 0;
+  for (std::uint32_t level = 0; level < t.levels(); ++level) {
+    const std::uint64_t side = (std::uint64_t{1} << level) + 1;
+    occupied_span += side * side * side;
+  }
+  QueryCounters c;
+  std::vector<ElementId> got;
+  const AABB probe(Vec3(-200, -200, -200), Vec3(300, 300, 300));
+  t.RangeQuery(probe, &got, &c);
+  EXPECT_EQ(Sorted(got), ScanRange(elems, probe));
+  EXPECT_LE(c.structure_tests, occupied_span);
+
+  const Vec3 p(-40, 50, 200);
+  t.KnnQuery(p, elems.size() + 10, &got);
+  EXPECT_EQ(got, ScanKnn(elems, p, elems.size() + 10));
+}
+
 }  // namespace
 }  // namespace simspatial::pam

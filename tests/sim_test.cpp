@@ -138,5 +138,35 @@ TEST(SimulationTest, SynapseMonitorFires) {
   EXPECT_EQ(reports[3].synapse_pairs, 0u);
 }
 
+// The synapse join runs on SimulationConfig::index_threads, like the
+// index; neither may change a step's results.
+TEST(SimulationTest, SynapseJoinIsThreadInvariant) {
+  const auto run = [](std::uint32_t threads) {
+    SimulationConfig cfg;
+    cfg.index_threads = threads;
+    cfg.monitor_range_queries = 3;
+    cfg.synapse_every = 1;
+    cfg.synapse_eps = 0.5f;
+    datagen::PlasticityConfig pcfg;
+    pcfg.seed = 5;
+    Simulation sim(SmallModel(20000), kUniverse,
+                   std::make_unique<PlasticityKinetics>(pcfg, kUniverse), cfg);
+    std::vector<std::size_t> pairs;
+    std::vector<QueryCounters> counters;
+    for (const StepReport& r : sim.Run(3)) {
+      pairs.push_back(r.synapse_pairs);
+      counters.push_back(r.query_counters);
+    }
+    return std::pair{pairs, counters};
+  };
+  const auto serial = run(0);
+  EXPECT_GT(serial.first[0], 0u);
+  for (const std::uint32_t threads : {1u, par::kThreadsAuto}) {
+    const auto got = run(threads);
+    EXPECT_EQ(got.first, serial.first) << "threads=" << threads;
+    EXPECT_EQ(got.second, serial.second) << "threads=" << threads;
+  }
+}
+
 }  // namespace
 }  // namespace simspatial::sim
