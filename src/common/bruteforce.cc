@@ -9,19 +9,68 @@ namespace simspatial {
 namespace {
 
 // Query-side grid for BatchScanRange: cell -> indices of queries whose box
-// overlaps the cell.
+// overlaps the cell. Cell coordinates are clamped to the query bounds'
+// cell range, at most kMaxCells per axis, so the key is injective.
 struct QueryGrid {
+  static constexpr std::int64_t kMaxCells = std::int64_t{1} << 21;
+
+  /// Inclusive cell-coordinate box.
+  struct Range {
+    std::int64_t lo[3];
+    std::int64_t hi[3];
+
+    /// Number of cells; 0 for an inverted range.
+    std::uint64_t Cells() const {
+      std::uint64_t n = 1;
+      for (int a = 0; a < 3; ++a) {
+        if (hi[a] < lo[a]) return 0;
+        n *= static_cast<std::uint64_t>(hi[a] - lo[a] + 1);
+      }
+      return n;
+    }
+    bool Holds(const std::int64_t (&c)[3]) const {
+      return lo[0] <= c[0] && c[0] <= hi[0] && lo[1] <= c[1] &&
+             c[1] <= hi[1] && lo[2] <= c[2] && c[2] <= hi[2];
+    }
+  };
+
   float inv_cell = 1.0f;
   Vec3 origin;
+  std::int64_t count[3] = {1, 1, 1};  ///< Cells per axis.
   std::unordered_map<std::int64_t, std::vector<std::uint32_t>> cells;
 
-  std::int64_t Key(std::int64_t x, std::int64_t y, std::int64_t z) const {
-    return ((x & 0x1fffff) << 42) | ((y & 0x1fffff) << 21) | (z & 0x1fffff);
+  static std::int64_t Key(const std::int64_t (&c)[3]) {
+    return (c[0] << 42) | (c[1] << 21) | c[2];
   }
-  std::int64_t CoordOf(float v, float lo) const {
-    return static_cast<std::int64_t>(std::floor((v - lo) * inv_cell));
+  /// Cell of `v` on `axis`. The floor is clamped in float to the cell range
+  /// before the cast, and NaN goes to cell 0. The map is monotone in `v`,
+  /// which is all the reference-point rule needs: the reference point of a
+  /// matching pair lies in both boxes, so its cell lies in both ranges.
+  std::int64_t CoordOf(float v, int axis) const {
+    return ClampedCellCoord(std::floor((v - origin[axis]) * inv_cell),
+                            static_cast<std::size_t>(count[axis]));
+  }
+  Range RangeOf(const AABB& b) const {
+    return Range{
+        {CoordOf(b.min.x, 0), CoordOf(b.min.y, 1), CoordOf(b.min.z, 2)},
+        {CoordOf(b.max.x, 0), CoordOf(b.max.y, 1), CoordOf(b.max.z, 2)}};
+  }
+  /// Calls `f(cell)` for every cell of `r`.
+  template <typename F>
+  static void ForEachCell(const Range& r, F&& f) {
+    std::int64_t c[3];
+    for (c[0] = r.lo[0]; c[0] <= r.hi[0]; ++c[0]) {
+      for (c[1] = r.lo[1]; c[1] <= r.hi[1]; ++c[1]) {
+        for (c[2] = r.lo[2]; c[2] <= r.hi[2]; ++c[2]) f(c);
+      }
+    }
   }
 };
+
+/// Queries spanning more cells than this are not registered in the grid
+/// (an infinite probe, or one far larger than the rest would otherwise
+/// fill every cell); every element tests them directly.
+constexpr std::uint64_t kWideQueryCells = std::uint64_t{1} << 16;
 
 }  // namespace
 
@@ -32,68 +81,82 @@ std::vector<std::vector<ElementId>> BatchScanRange(
   if (queries.empty() || elems.empty()) return out;
 
   // Cell size ~ the mean query side: each query then overlaps O(1) cells
-  // and each element consults O(1) cells.
+  // and each element consults O(1) cells. Probes with a non-finite side
+  // (NaN or infinite coordinates) neither size nor place the grid.
   AABB bounds;
   double mean_side = 0;
   for (const AABB& q : queries) {
-    bounds.Extend(q);
     const Vec3 e = q.Extent();
-    mean_side += (e.x + e.y + e.z) / 3.0;
+    const double side = (e.x + e.y + e.z) / 3.0;
+    if (!std::isfinite(side)) continue;
+    bounds.Extend(q);
+    mean_side += side;
   }
   mean_side = std::max(1e-5, mean_side / queries.size());
 
   QueryGrid g;
   g.inv_cell = static_cast<float>(1.0 / mean_side);
   g.origin = bounds.min;
+  for (int a = 0; a < 3; ++a) {
+    g.count[a] = ClampedCellCoord(
+                     std::floor((bounds.max[a] - g.origin[a]) * g.inv_cell),
+                     QueryGrid::kMaxCells) +
+                 1;
+  }
+  std::vector<std::uint32_t> wide;
   for (std::uint32_t qi = 0; qi < queries.size(); ++qi) {
-    const AABB& q = queries[qi];
-    const auto x0 = g.CoordOf(q.min.x, g.origin.x);
-    const auto y0 = g.CoordOf(q.min.y, g.origin.y);
-    const auto z0 = g.CoordOf(q.min.z, g.origin.z);
-    const auto x1 = g.CoordOf(q.max.x, g.origin.x);
-    const auto y1 = g.CoordOf(q.max.y, g.origin.y);
-    const auto z1 = g.CoordOf(q.max.z, g.origin.z);
-    for (auto x = x0; x <= x1; ++x) {
-      for (auto y = y0; y <= y1; ++y) {
-        for (auto z = z0; z <= z1; ++z) {
-          g.cells[g.Key(x, y, z)].push_back(qi);
-        }
-      }
+    const QueryGrid::Range r = g.RangeOf(queries[qi]);
+    if (r.Cells() > kWideQueryCells) {
+      wide.push_back(qi);
+      continue;
     }
+    QueryGrid::ForEachCell(r, [&](const std::int64_t(&cell)[3]) {
+      g.cells[QueryGrid::Key(cell)].push_back(qi);
+    });
   }
 
   // Stream the dataset once; for each element visit the cells its box
   // overlaps and test the queries registered there. The reference-point
   // rule (count the pair only in the cell holding max(mins)) deduplicates
-  // without per-pair state.
+  // without per-pair state. An element spanning more cells than are
+  // occupied (a huge box) walks the occupied cells instead. Either way an
+  // element reaches each query at most once, in dataset order.
   QueryCounters local;
   QueryCounters& c = counters != nullptr ? *counters : local;
+  constexpr std::int64_t kMask = QueryGrid::kMaxCells - 1;
   for (const Element& e : elems) {
     c.bytes_read += sizeof(Element);
-    const auto x0 = g.CoordOf(e.box.min.x, g.origin.x);
-    const auto y0 = g.CoordOf(e.box.min.y, g.origin.y);
-    const auto z0 = g.CoordOf(e.box.min.z, g.origin.z);
-    const auto x1 = g.CoordOf(e.box.max.x, g.origin.x);
-    const auto y1 = g.CoordOf(e.box.max.y, g.origin.y);
-    const auto z1 = g.CoordOf(e.box.max.z, g.origin.z);
-    for (auto x = x0; x <= x1; ++x) {
-      for (auto y = y0; y <= y1; ++y) {
-        for (auto z = z0; z <= z1; ++z) {
-          const auto it = g.cells.find(g.Key(x, y, z));
-          if (it == g.cells.end()) continue;
-          for (const std::uint32_t qi : it->second) {
-            const AABB& q = queries[qi];
-            c.element_tests += 1;
-            if (!e.box.Intersects(q)) continue;
-            const Vec3 ref = Vec3::Max(e.box.min, q.min);
-            if (g.CoordOf(ref.x, g.origin.x) == x &&
-                g.CoordOf(ref.y, g.origin.y) == y &&
-                g.CoordOf(ref.z, g.origin.z) == z) {
-              out[qi].push_back(e.id);
-            }
-          }
+    for (const std::uint32_t qi : wide) {
+      c.element_tests += 1;
+      if (e.box.Intersects(queries[qi])) out[qi].push_back(e.id);
+    }
+    const QueryGrid::Range r = g.RangeOf(e.box);
+    const std::uint64_t span = r.Cells();
+    if (span == 0) continue;
+    const auto visit = [&](const std::int64_t(&cell)[3],
+                           const std::vector<std::uint32_t>& registered) {
+      for (const std::uint32_t qi : registered) {
+        const AABB& q = queries[qi];
+        c.element_tests += 1;
+        if (!e.box.Intersects(q)) continue;
+        const Vec3 ref = Vec3::Max(e.box.min, q.min);
+        if (g.CoordOf(ref.x, 0) == cell[0] && g.CoordOf(ref.y, 1) == cell[1] &&
+            g.CoordOf(ref.z, 2) == cell[2]) {
+          out[qi].push_back(e.id);
         }
       }
+    };
+    if (span > g.cells.size()) {
+      for (const auto& [key, registered] : g.cells) {
+        const std::int64_t cell[3] = {key >> 42, (key >> 21) & kMask,
+                                      key & kMask};
+        if (r.Holds(cell)) visit(cell, registered);
+      }
+    } else {
+      QueryGrid::ForEachCell(r, [&](const std::int64_t(&cell)[3]) {
+        const auto it = g.cells.find(QueryGrid::Key(cell));
+        if (it != g.cells.end()) visit(cell, it->second);
+      });
     }
   }
   for (const auto& r : out) c.results += r.size();

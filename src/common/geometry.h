@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -252,8 +253,11 @@ inline std::ostream& operator<<(std::ostream& os, const AABB& b) {
 // --- Batched AABB kernel -----------------------------------------------------
 //
 // The library's hot loops (MemGrid region scans, R-tree node scans, the
-// sweep join's active-list filter) all reduce to "test one query box
-// against a short run of candidate boxes". The batched kernel below does
+// sweep join's active-list filter, the grid join's pair loops) all reduce
+// to "test one query box against a short run of candidate boxes". The
+// grid join uses the pair-run kernel further down (BoxLanesMatch), which
+// reads its candidates straight from SoA coordinate columns and also
+// evaluates the distance predicate. The batched kernel below does
 // that kBoxBatchWidth lanes at a time over structure-of-arrays min/max
 // coordinates, producing a bitmask of hits. The width is a compile-time
 // constant — there is no runtime CPU dispatch; the vector path is chosen
@@ -456,6 +460,196 @@ inline std::uint32_t BoxBatchContainsScalar(const BoxBatch& b,
     mask |= static_cast<std::uint32_t>(query.Contains(b.Lane(i))) << i;
   }
   return mask;
+}
+
+// --- Pair-run kernel ---------------------------------------------------------
+//
+// The grid join tests the elements of one cell against every run of
+// elements that shares the cell or lies in a neighbour cell. Runs are short
+// (a few elements per cell), so the kernel tests one box against a group
+// of kBoxRunWidth lanes loaded (unaligned) straight from SoA coordinate
+// columns; BoxRunMatch and BoxRunSelfMatch mask the lanes past the run
+// instead of transposing runs into BoxBatch blocks. A run that fits one group is
+// loaded once and tested against every outer box of the cell.
+//
+// Guarantee: lane j's hit bit equals the join predicate (join::PairMatches)
+// on (box, lane j) — or (lane j, box) — bit for bit. For eps > 0 that is
+// `a.SquaredDistanceTo(b) <= eps * eps`, whose per-axis term
+// `std::max({p, 0, q})` keeps the first largest value: with p = a.min -
+// b.max and q = b.min - a.max it is NaN when p is NaN and ignores a NaN q,
+// so the argument order matters. `_mm_max_ps(x, y)` returns y unless x > y,
+// so `_mm_max_ps(q, _mm_max_ps(0, p))` is that same selection, and the sum
+// keeps the scalar order `(dx * dx + dy * dy) + dz * dz`. For eps <= 0 (and
+// NaN eps) it is `AABB::Intersects`. geometry_test pins both orders and
+// every tail length against PairMatches.
+
+/// Lanes per kernel step: the SSE register width. Grid-join runs average
+/// fewer than four boxes, so a wider step would mostly test padding.
+inline constexpr std::uint32_t kBoxRunWidth = 4;
+
+/// Six structure-of-arrays coordinate columns. Each column must be
+/// readable kBoxRunWidth - 1 floats past the last box a run can reach:
+/// a group that starts inside the run loads all its lanes, and the lanes
+/// past the run are masked off.
+struct BoxColumns {
+  const float* min_x = nullptr;
+  const float* min_y = nullptr;
+  const float* min_z = nullptr;
+  const float* max_x = nullptr;
+  const float* max_y = nullptr;
+  const float* max_z = nullptr;
+
+  AABB Box(std::size_t j) const {
+    return AABB(Vec3(min_x[j], min_y[j], min_z[j]),
+                Vec3(max_x[j], max_y[j], max_z[j]));
+  }
+};
+
+/// kBoxRunWidth boxes of a BoxColumns, starting at one position.
+struct BoxLanes {
+#if defined(__SSE2__)
+  __m128 min_x, min_y, min_z, max_x, max_y, max_z;
+
+  static BoxLanes Load(const BoxColumns& c, std::size_t j) {
+    return BoxLanes{_mm_loadu_ps(c.min_x + j), _mm_loadu_ps(c.min_y + j),
+                    _mm_loadu_ps(c.min_z + j), _mm_loadu_ps(c.max_x + j),
+                    _mm_loadu_ps(c.max_y + j), _mm_loadu_ps(c.max_z + j)};
+  }
+#else
+  AABB box[kBoxRunWidth];
+
+  static BoxLanes Load(const BoxColumns& c, std::size_t j) {
+    BoxLanes l;
+    for (std::uint32_t i = 0; i < kBoxRunWidth; ++i) l.box[i] = c.Box(j + i);
+    return l;
+  }
+#endif
+};
+
+/// The kernel: bit i is set iff lane i satisfies the join predicate with
+/// `box` (see the guarantee above), with `box` as the first argument, or
+/// lane i first when kLaneFirst. Every lane is tested; callers mask the
+/// lanes past their run.
+template <bool kLaneFirst>
+inline std::uint32_t BoxLanesMatch(const AABB& box, const BoxLanes& l,
+                                   float eps) {
+#if defined(__SSE2__)
+  const __m128 bnx = _mm_set1_ps(box.min.x);
+  const __m128 bny = _mm_set1_ps(box.min.y);
+  const __m128 bnz = _mm_set1_ps(box.min.z);
+  const __m128 bxx = _mm_set1_ps(box.max.x);
+  const __m128 bxy = _mm_set1_ps(box.max.y);
+  const __m128 bxz = _mm_set1_ps(box.max.z);
+  __m128 hit;
+  if (eps > 0.0f) {
+    // First largest of {p, 0, q}, as std::max({p, 0.0f, q}).
+    const auto term = [](__m128 p, __m128 q) {
+      return _mm_max_ps(q, _mm_max_ps(_mm_setzero_ps(), p));
+    };
+    // box first: p = box.min - lane.max, q = lane.min - box.max.
+    const __m128 px = _mm_sub_ps(bnx, l.max_x);
+    const __m128 py = _mm_sub_ps(bny, l.max_y);
+    const __m128 pz = _mm_sub_ps(bnz, l.max_z);
+    const __m128 qx = _mm_sub_ps(l.min_x, bxx);
+    const __m128 qy = _mm_sub_ps(l.min_y, bxy);
+    const __m128 qz = _mm_sub_ps(l.min_z, bxz);
+    const __m128 dx = kLaneFirst ? term(qx, px) : term(px, qx);
+    const __m128 dy = kLaneFirst ? term(qy, py) : term(py, qy);
+    const __m128 dz = kLaneFirst ? term(qz, pz) : term(pz, qz);
+    const __m128 d2 =
+        _mm_add_ps(_mm_add_ps(_mm_mul_ps(dx, dx), _mm_mul_ps(dy, dy)),
+                   _mm_mul_ps(dz, dz));
+    hit = _mm_cmple_ps(d2, _mm_set1_ps(eps * eps));
+  } else {
+    // cmpleps is ordered `<=`: false on NaN, exactly the scalar operator.
+    hit = _mm_and_ps(_mm_cmple_ps(l.min_x, bxx), _mm_cmple_ps(bnx, l.max_x));
+    hit = _mm_and_ps(hit, _mm_cmple_ps(l.min_y, bxy));
+    hit = _mm_and_ps(hit, _mm_cmple_ps(bny, l.max_y));
+    hit = _mm_and_ps(hit, _mm_cmple_ps(l.min_z, bxz));
+    hit = _mm_and_ps(hit, _mm_cmple_ps(bnz, l.max_z));
+  }
+  return static_cast<std::uint32_t>(_mm_movemask_ps(hit));
+#else
+  std::uint32_t mask = 0;
+  for (std::uint32_t i = 0; i < kBoxRunWidth; ++i) {
+    const AABB& lane = l.box[i];
+    const bool hit =
+        eps > 0.0f ? (kLaneFirst ? lane.SquaredDistanceTo(box)
+                                 : box.SquaredDistanceTo(lane)) <= eps * eps
+                   : box.Intersects(lane);
+    mask |= static_cast<std::uint32_t>(hit) << i;
+  }
+  return mask;
+#endif
+}
+
+/// Mask of the first min(left, kBoxRunWidth) lanes.
+inline std::uint32_t BoxLanesHead(std::uint32_t left) {
+  return left >= kBoxRunWidth ? (1u << kBoxRunWidth) - 1u : (1u << left) - 1u;
+}
+
+/// Calls `emit(i, first + b)` for every set bit b of `mask`, ascending.
+template <typename Emit>
+inline void EmitLanes(std::uint32_t mask, std::uint32_t i, std::uint32_t first,
+                      Emit& emit) {
+  for (; mask != 0; mask &= mask - 1) {
+    emit(i, first + static_cast<std::uint32_t>(std::countr_zero(mask)));
+  }
+}
+
+/// Calls `emit(i, j)` for every box i in [o0, o1) of `outer` and j in
+/// [r0, r1) of `run` that satisfy the join predicate (box i first, or box
+/// j first when kLaneFirst): i ascending and, for each i, j ascending.
+template <bool kLaneFirst, typename Emit>
+inline void BoxRunMatch(const BoxColumns& outer, std::uint32_t o0,
+                        std::uint32_t o1, const BoxColumns& run,
+                        std::uint32_t r0, std::uint32_t r1, float eps,
+                        Emit&& emit) {
+  if (r1 <= r0) return;
+  if (r1 - r0 <= kBoxRunWidth) {
+    const BoxLanes lanes = BoxLanes::Load(run, r0);
+    const std::uint32_t head = BoxLanesHead(r1 - r0);
+    for (std::uint32_t i = o0; i < o1; ++i) {
+      EmitLanes(BoxLanesMatch<kLaneFirst>(outer.Box(i), lanes, eps) & head,
+                i, r0, emit);
+    }
+    return;
+  }
+  for (std::uint32_t i = o0; i < o1; ++i) {
+    const AABB box = outer.Box(i);
+    for (std::uint32_t j = r0; j < r1; j += kBoxRunWidth) {
+      EmitLanes(BoxLanesMatch<kLaneFirst>(box, BoxLanes::Load(run, j), eps) &
+                    BoxLanesHead(r1 - j),
+                i, j, emit);
+    }
+  }
+}
+
+/// Calls `emit(i, j)` for every pair r0 <= i < j < r1 of `c` that
+/// satisfies the join predicate with box i first: i ascending and, for
+/// each i, j ascending.
+template <typename Emit>
+inline void BoxRunSelfMatch(const BoxColumns& c, std::uint32_t r0,
+                            std::uint32_t r1, float eps, Emit&& emit) {
+  if (r1 <= r0 + 1) return;
+  if (r1 - r0 <= kBoxRunWidth) {
+    const BoxLanes lanes = BoxLanes::Load(c, r0);
+    const std::uint32_t head = BoxLanesHead(r1 - r0);
+    for (std::uint32_t i = r0; i < r1; ++i) {
+      const std::uint32_t after_i = head & (~1u << (i - r0));
+      EmitLanes(BoxLanesMatch<false>(c.Box(i), lanes, eps) & after_i, i, r0,
+                emit);
+    }
+    return;
+  }
+  for (std::uint32_t i = r0; i < r1; ++i) {
+    const AABB box = c.Box(i);
+    for (std::uint32_t j = i + 1; j < r1; j += kBoxRunWidth) {
+      EmitLanes(BoxLanesMatch<false>(box, BoxLanes::Load(c, j), eps) &
+                    BoxLanesHead(r1 - j),
+                i, j, emit);
+    }
+  }
 }
 
 /// Capsule (cylinder with hemispherical caps): segment [a,b] with radius r.

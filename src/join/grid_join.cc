@@ -18,14 +18,20 @@
 // the geometry already guarantees intersection.
 //
 // The grid is flat: a stable LSD radix sort of the elements by centre-cell
-// key (x, y, z), a gather of boxes and ids into that order, and the sorted
-// array of occupied keys with begin offsets. Every pass is chunked over the
-// thread pool. Neighbours are found without a hash: adding a fixed offset
-// keeps lexicographic key order, so while the occupied cells are walked in
-// ascending order each neighbour offset keeps a cursor into the key array
-// that only moves forward. The stable sort keeps a cell's elements in input
-// order and cells are walked in ascending key order, so the emission is the
-// same at every thread count.
+// key (x, y, z), a gather of boxes (as six SoA coordinate columns) and ids
+// into that order, and the sorted array of occupied keys with begin
+// offsets. Every pass is chunked over the thread pool. Neighbours are found
+// without a hash: adding a fixed offset keeps lexicographic key order, so
+// while the occupied cells are walked in ascending order each neighbour
+// offset keeps a cursor into the key array that only moves forward. The
+// stable sort keeps a cell's elements in input order and cells are walked
+// in ascending key order, so the emission is the same at every thread
+// count.
+//
+// The pair loops test a cell's elements against each candidate run with
+// the pair-run kernel of common/geometry.h (BoxLanesMatch: a few lanes per
+// step loaded straight from the columns, PairMatches bit for bit, hits
+// emitted in ascending lane order).
 
 #include <algorithm>
 #include <array>
@@ -33,6 +39,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 
 #include "common/parallel.h"
@@ -108,13 +115,23 @@ ExtentBounds Extents(const std::vector<Element>& elems,
 }
 
 /// Elements grouped by centre cell: cell c holds positions
-/// [begin[c], begin[c + 1]) of `boxes`/`ids`, in input order.
+/// [begin[c], begin[c + 1]) of the box columns and `ids`, in input order.
 struct FlatGrid {
   std::vector<CellKey> keys;  ///< Occupied cells, ascending.
   std::vector<std::uint32_t> begin;
-  std::vector<AABB> boxes;
-  std::vector<ElementId> ids;
+  /// Six SoA box columns (min x, y, z, max x, y, z) of `stride` floats
+  /// each: the n boxes, then kBoxRunWidth floats of padding that the
+  /// pair-run kernel's tail loads may read.
+  std::unique_ptr<float[]> coords;
+  std::size_t stride = 0;
+  std::unique_ptr<ElementId[]> ids;
   bool clamped = false;  ///< Some centre coordinate was clamped or NaN.
+
+  BoxColumns Columns() const {
+    const float* c = coords.get();
+    return BoxColumns{c,          c + stride,     c + 2 * stride,
+                      c + 3 * stride, c + 4 * stride, c + 5 * stride};
+  }
 };
 
 FlatGrid BuildFlatGrid(const std::vector<Element>& elems, float inv,
@@ -130,7 +147,7 @@ FlatGrid BuildFlatGrid(const std::vector<Element>& elems, float inv,
   };
 
   // Keys, with per-chunk key bounds and clamp flags.
-  std::vector<Entry> src(n);
+  auto src = std::make_unique_for_overwrite<Entry[]>(n);
   std::vector<CellKey> lo(chunks), hi(chunks);
   std::vector<std::uint8_t> chunk_clamped(chunks, 0);
   par::ParallelChunks(chunks, n, [&](std::size_t w, std::size_t begin,
@@ -170,7 +187,7 @@ FlatGrid BuildFlatGrid(const std::vector<Element>& elems, float inv,
   // `key - key_lo` and only as many digits as its range needs. Per-chunk
   // histograms, a digit-major prefix and a per-chunk scatter keep equal
   // keys in input order at every chunk count.
-  std::vector<Entry> dst(n);
+  auto dst = std::make_unique_for_overwrite<Entry[]>(n);
   std::vector<std::uint32_t> hist(chunks * kDigits);
   for (int axis = 2; axis >= 0; --axis) {
     const auto base = static_cast<std::uint32_t>(key_lo[axis]);
@@ -205,17 +222,29 @@ FlatGrid BuildFlatGrid(const std::vector<Element>& elems, float inv,
       src.swap(dst);
     }
   }
-  std::vector<Entry>().swap(dst);
+  dst.reset();
 
   // Gather into cell order; each chunk records the cells that start in it.
-  g.boxes.resize(n);
-  g.ids.resize(n);
+  // The gather writes every box and id, so only the padding is zeroed and
+  // the workers, not a serial fill, first touch the pages.
+  g.stride = n + kBoxRunWidth;
+  g.coords = std::make_unique_for_overwrite<float[]>(6 * g.stride);
+  g.ids = std::make_unique_for_overwrite<ElementId[]>(n);
+  float* const col[6] = {&g.coords[0],            &g.coords[g.stride],
+                         &g.coords[2 * g.stride], &g.coords[3 * g.stride],
+                         &g.coords[4 * g.stride], &g.coords[5 * g.stride]};
+  for (float* c : col) std::fill(c + n, c + g.stride, 0.0f);
   std::vector<std::vector<std::uint32_t>> starts(chunks);
   par::ParallelChunks(chunks, n, [&](std::size_t w, std::size_t begin,
                                      std::size_t end) {
     for (std::size_t p = begin; p < end; ++p) {
       const Element& e = elems[src[p].index];
-      g.boxes[p] = e.box;
+      col[0][p] = e.box.min.x;
+      col[1][p] = e.box.min.y;
+      col[2][p] = e.box.min.z;
+      col[3][p] = e.box.max.x;
+      col[4][p] = e.box.max.y;
+      col[5][p] = e.box.max.z;
       g.ids[p] = e.id;
       if (p == 0 || src[p].key != src[p - 1].key) {
         starts[w].push_back(static_cast<std::uint32_t>(p));
@@ -278,6 +307,7 @@ std::vector<JoinPair> GridSelfJoin(const std::vector<Element>& elems,
   const bool shortcut = options.small_cell_shortcut && eps == 0.0f &&
                         !g.clamped &&
                         ext.min >= 2.0f * cell * std::sqrt(3.0f);
+  const BoxColumns cols = g.Columns();
 
   detail::RunDeterministicChunks(
       g.keys.size(), threads, &out, &c,
@@ -288,28 +318,24 @@ std::vector<JoinPair> GridSelfJoin(const std::vector<Element>& elems,
         for (int k = 0; k < 13; ++k) {
           cursor[k] = LowerBound(g.keys, Offset(g.keys[begin], kForward[k]));
         }
-        const auto emit = [shard](ElementId a, ElementId b) {
-          shard->pairs.emplace_back(std::min(a, b), std::max(a, b));
+        const auto emit = [&](std::uint32_t i, std::uint32_t j) {
+          shard->pairs.emplace_back(std::min(g.ids[i], g.ids[j]),
+                                    std::max(g.ids[i], g.ids[j]));
         };
         for (std::size_t ci = begin; ci < end; ++ci) {
           const std::uint32_t b0 = g.begin[ci];
           const std::uint32_t b1 = g.begin[ci + 1];
           const std::uint64_t m = b1 - b0;
           shard->counters.nodes_visited += 1;
-          // Within-cell pairs.
+          // Within-cell pairs; the shortcut emits them untested.
           if (shortcut) {
             shard->skipped_tests += m * (m - 1) / 2;
+            for (std::uint32_t i = b0; i < b1; ++i) {
+              for (std::uint32_t j = i + 1; j < b1; ++j) emit(i, j);
+            }
           } else {
             shard->counters.element_tests += m * (m - 1) / 2;
-          }
-          for (std::uint32_t i = b0; i < b1; ++i) {
-            const AABB box = g.boxes[i];
-            const ElementId id = g.ids[i];
-            for (std::uint32_t j = i + 1; j < b1; ++j) {
-              if (shortcut || PairMatches(box, g.boxes[j], eps)) {
-                emit(id, g.ids[j]);
-              }
-            }
+            BoxRunSelfMatch(cols, b0, b1, eps, emit);
           }
           // Forward neighbours (each unordered cell pair visited exactly
           // once).
@@ -321,13 +347,7 @@ std::vector<JoinPair> GridSelfJoin(const std::vector<Element>& elems,
             const std::uint32_t n1 = g.begin[cursor[k] + 1];
             shard->counters.structure_tests += 1;
             shard->counters.element_tests += m * (n1 - n0);
-            for (std::uint32_t i = b0; i < b1; ++i) {
-              const AABB box = g.boxes[i];
-              const ElementId id = g.ids[i];
-              for (std::uint32_t j = n0; j < n1; ++j) {
-                if (PairMatches(box, g.boxes[j], eps)) emit(id, g.ids[j]);
-              }
-            }
+            BoxRunMatch<false>(cols, b0, b1, cols, n0, n1, eps, emit);
           }
         }
       });
@@ -355,6 +375,8 @@ std::vector<JoinPair> GridJoin(const std::vector<Element>& a,
   const FlatGrid ga = BuildFlatGrid(a, 1.0f / cell, threads);
   const FlatGrid gb = BuildFlatGrid(b, 1.0f / cell, threads);
   if (stats != nullptr) stats->cell_size = cell;
+  const BoxColumns a_cols = ga.Columns();
+  const BoxColumns b_cols = gb.Columns();
 
   // For each b-cell (in ascending key order), probe the 27-neighbourhood
   // of a-cells (binary join has no symmetric halving). The offsets, in
@@ -386,15 +408,12 @@ std::vector<JoinPair> GridJoin(const std::vector<Element>& a,
             shard->counters.structure_tests += 1;
             shard->counters.element_tests +=
                 static_cast<std::uint64_t>(b1 - b0) * (a1 - a0);
-            for (std::uint32_t i = b0; i < b1; ++i) {
-              const AABB box = gb.boxes[i];
-              const ElementId id = gb.ids[i];
-              for (std::uint32_t j = a0; j < a1; ++j) {
-                if (PairMatches(ga.boxes[j], box, eps)) {
-                  shard->pairs.emplace_back(ga.ids[j], id);
-                }
-              }
-            }
+            // The a-side box is PairMatches' first argument.
+            BoxRunMatch<true>(b_cols, b0, b1, a_cols, a0, a1, eps,
+                              [&](std::uint32_t i, std::uint32_t j) {
+                                shard->pairs.emplace_back(ga.ids[j],
+                                                          gb.ids[i]);
+                              });
           }
         }
       });

@@ -50,6 +50,9 @@ void RunDeterministicChunks(std::size_t n, std::uint32_t threads,
                       [&](std::size_t w, std::size_t begin, std::size_t end) {
                         work(&shards[w], begin, end);
                       });
+  std::size_t total = out->size();
+  for (const JoinShard& s : shards) total += s.pairs.size();
+  out->reserve(total);
   for (JoinShard& s : shards) {
     out->insert(out->end(), s.pairs.begin(), s.pairs.end());
     *c += s.counters;

@@ -165,6 +165,26 @@ void LooseOctree::KnnQuery(const Vec3& p, std::size_t k,
                            QueryCounters* counters) const {
   out->clear();
   if (k == 0 || placement_.empty()) return;
+  if (k >= placement_.size()) {
+    // Every element is a neighbour: one pass, sorted by (distance, id) as
+    // ScanKnn orders them. NaN distances sort last, by id, which keeps the
+    // comparison a strict weak order.
+    std::vector<std::pair<float, ElementId>> all;
+    all.reserve(placement_.size());
+    for (const auto& [id, placed] : placement_) {
+      all.emplace_back(placed.box.SquaredDistanceTo(p), id);
+    }
+    if (counters != nullptr) counters->distance_computations += all.size();
+    std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+      const bool a_nan = std::isnan(a.first);
+      if (a_nan != std::isnan(b.first)) return !a_nan;
+      if (!a_nan && a.first != b.first) return a.first < b.first;
+      return a.second < b.second;
+    });
+    out->reserve(all.size());
+    for (const auto& entry : all) out->push_back(entry.second);
+    return;
+  }
   // Expanding cube search over RangeQuery (exact; see UniformGrid).
   const double density =
       static_cast<double>(placement_.size()) /

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include "common/bruteforce.h"
 #include "common/rng.h"
@@ -481,6 +483,93 @@ TEST(JoinEdgeCaseTest, GridJoinNaNElementRunsClean) {
       SortPairs(&binary);
       SortPairs(&want_binary);
       EXPECT_EQ(binary, want_binary) << "eps=" << eps << " cell=" << cell;
+    }
+  }
+}
+
+// BatchScanRange places its query grid from float cell coordinates. Huge,
+// infinite and NaN elements and probes must clamp to defined cells (the
+// strict UBSan build checks the casts) and finish quickly: an element at
+// +-1e30 or +-3e9, or a box spanning them, must not walk the cells between.
+// The small probes at 0 and 3e9 put ~2^21 cells on each axis of the grid.
+TEST(BatchScanEdgeCaseTest, HugeAndNaNInputsMatchPerQueryScan) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const auto cube = [](float c, float half) {
+    return AABB::FromCenterHalfExtent(Vec3(c, c, c), half);
+  };
+  Rng rng(95);
+  std::vector<Element> elems;
+  for (ElementId i = 0; i < 200; ++i) {
+    elems.emplace_back(i, AABB::FromCenterHalfExtent(rng.PointIn(kUniverse),
+                                                     rng.Uniform(0.1f, 1.0f)));
+  }
+  for (const float sign : {1.0f, -1.0f}) {
+    for (const float at : {1e30f, 3e9f}) {
+      elems.emplace_back(static_cast<ElementId>(elems.size()),
+                         cube(sign * at, 0.5f));
+      elems.emplace_back(static_cast<ElementId>(elems.size()),
+                         cube(sign * at, 1000.0f));
+    }
+  }
+  elems.emplace_back(static_cast<ElementId>(elems.size()),
+                     AABB(Vec3(-1e30f, -1e30f, -1e30f),
+                          Vec3(1e30f, 1e30f, 1e30f)));
+  elems.emplace_back(static_cast<ElementId>(elems.size()),
+                     AABB(Vec3(-3e9f, 2, 2), Vec3(3e9f, 3, 3)));
+  elems.emplace_back(static_cast<ElementId>(elems.size()),
+                     AABB(Vec3(-inf, -inf, -inf), Vec3(inf, inf, inf)));
+  elems.emplace_back(static_cast<ElementId>(elems.size()),
+                     AABB(Vec3(nan, 1, 1), Vec3(2, 2, 2)));
+  elems.emplace_back(static_cast<ElementId>(elems.size()),
+                     AABB(Vec3(nan, nan, nan), Vec3(nan, nan, nan)));
+
+  std::vector<AABB> small;
+  for (int q = 0; q < 40; ++q) {
+    small.push_back(
+        AABB::FromCenterHalfExtent(rng.PointIn(kUniverse), rng.Uniform(0.5f, 2.0f)));
+  }
+  small.push_back(cube(3e9f, 0.5f));
+  small.push_back(cube(-3e9f, 0.5f));
+  small.push_back(AABB(Vec3(nan, 0, 0), Vec3(5, 5, 5)));
+  small.push_back(AABB(Vec3(nan, nan, nan), Vec3(nan, nan, nan)));
+  std::vector<AABB> huge = small;
+  huge.push_back(AABB(Vec3(-1e30f, -1e30f, -1e30f), Vec3(1e30f, 1e30f, 1e30f)));
+  huge.push_back(cube(1e30f, 0.5f));
+  std::vector<AABB> infinite = small;
+  infinite.push_back(AABB(Vec3(-inf, -inf, -inf), Vec3(inf, inf, inf)));
+  infinite.push_back(AABB(Vec3(-inf, 2, 2), Vec3(inf, 3, 3)));
+
+  // Ordinary probes and elements beside a NaN and an infinite probe: the
+  // two must not size or place the grid, which stays fine enough to beat
+  // repeated scans by far.
+  std::vector<Element> ordinary;
+  for (ElementId i = 0; i < 400; ++i) {
+    ordinary.emplace_back(i, AABB::FromCenterHalfExtent(
+                                 rng.PointIn(kUniverse), rng.Uniform(0.05f, 0.2f)));
+  }
+  std::vector<AABB> mixed;
+  for (int q = 0; q < 40; ++q) {
+    mixed.push_back(
+        AABB::FromCenterHalfExtent(rng.PointIn(kUniverse), rng.Uniform(0.2f, 0.5f)));
+  }
+  mixed.push_back(AABB(Vec3(nan, 0, 0), Vec3(5, 5, 5)));
+  mixed.push_back(AABB(Vec3(-inf, -inf, -inf), Vec3(inf, inf, inf)));
+
+  for (const auto& [name, data, probes] :
+       {std::tuple{"small", elems, small}, std::tuple{"huge", elems, huge},
+        std::tuple{"infinite", elems, infinite},
+        std::tuple{"mixed", ordinary, mixed}}) {
+    QueryCounters batched;
+    const auto got = BatchScanRange(data, probes, &batched);
+    ASSERT_EQ(got.size(), probes.size()) << name;
+    QueryCounters repeated;
+    for (std::size_t q = 0; q < probes.size(); ++q) {
+      EXPECT_EQ(got[q], ScanRange(data, probes[q], &repeated))
+          << name << " probe " << q << " " << probes[q];
+    }
+    if (std::string(name) == "mixed") {
+      EXPECT_LT(batched.element_tests, repeated.element_tests / 4);
     }
   }
 }

@@ -4,10 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "join/spatial_join.h"
 
 namespace simspatial {
 namespace {
@@ -543,6 +548,190 @@ TEST(BoxBatchTest, StridedLoadReadsBoxesEmbeddedInRecords) {
     want |= static_cast<std::uint32_t>(records[i].box.Intersects(query)) << i;
   }
   EXPECT_EQ(BoxBatchIntersect(batch, query), want);
+}
+
+// --- Pair-run kernel ----------------------------------------------------------
+
+// The batch pool plus the inputs on which the two argument orders of the
+// distance predicate differ or the lane arithmetic could: NaN in one
+// coordinate only (so one side of a distance term is NaN and the other is
+// not), infinities, signed zeros, and boxes exactly eps apart.
+std::vector<AABB> PairRunBoxPool() {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<AABB> pool = BatchKernelBoxPool();
+  const AABB unit(Vec3(0, 0, 0), Vec3(1, 1, 1));
+  for (int axis = 0; axis < 3; ++axis) {
+    AABB lo_nan = unit;
+    lo_nan.min[axis] = nan;
+    AABB hi_nan = unit;
+    hi_nan.max[axis] = nan;
+    AABB slab = unit;  // Infinite along one axis.
+    slab.min[axis] = -inf;
+    slab.max[axis] = inf;
+    AABB near = unit;  // 0.5 from `unit`: on the eps = 0.5 boundary.
+    near.min[axis] = 1.5f;
+    near.max[axis] = 2.5f;
+    pool.insert(pool.end(), {lo_nan, hi_nan, slab, near});
+  }
+  pool.push_back(AABB(Vec3(nan, 0.2f, 0.2f), Vec3(0.8f, 0.8f, 0.8f)));
+  pool.push_back(AABB(Vec3(1.2f, 0, 0), Vec3(2, 1, 1)));  // Right of min.x NaN.
+  pool.push_back(AABB(Vec3(-inf, -inf, -inf), Vec3(inf, inf, inf)));
+  pool.push_back(AABB(Vec3(inf, inf, inf), Vec3(inf, inf, inf)));
+  pool.push_back(AABB(Vec3(-inf, -inf, -inf), Vec3(-inf, -inf, -inf)));
+  pool.push_back(AABB(Vec3(-0.0f, -0.0f, -0.0f), Vec3(0.0f, 0.0f, 0.0f)));
+  pool.push_back(AABB(Vec3(0.0f, 0.0f, 0.0f), Vec3(-0.0f, -0.0f, -0.0f)));
+  pool.push_back(AABB(Vec3(-1, -1, -1), Vec3(-0.0f, -0.0f, -0.0f)));
+  pool.push_back(AABB(Vec3(nan, nan, nan), Vec3(nan, nan, nan)));
+  // Boxes at squared distance ~eps^2 = 0.25 from [-1, 0]^3 whose three
+  // terms round across 0.25 when summed in another order than the scalar
+  // (dx * dx + dy * dy) + dz * dz.
+  pool.push_back(AABB(Vec3(-1, -1, -1), Vec3(0, 0, 0)));
+  Rng rng(82);
+  int found = 0;
+  for (int tries = 0; tries < 100000 && found < 4; ++tries) {
+    const float dx = rng.Uniform(0.1f, 0.35f);
+    const float dy = rng.Uniform(0.1f, 0.35f);
+    float dz = std::sqrt(std::max(0.25f - dx * dx - dy * dy, 0.0f));
+    dz = std::nextafter(dz, rng.NextBelow(2) == 0 ? 0.0f : 1.0f);
+    if ((dx * dx + dy * dy) + dz * dz <= 0.25f ||
+        dx * dx + (dy * dy + dz * dz) > 0.25f) {
+      continue;
+    }
+    pool.push_back(AABB(Vec3(dx, dy, dz), Vec3(dx + 1, dy + 1, dz + 1)));
+    ++found;
+  }
+  return pool;
+}
+
+// SoA columns of `boxes`, whose last kBoxRunWidth - 1 boxes are the
+// kernel's documented read margin: a run may end at boxes.size() - margin,
+// and an ASan build catches any load beyond the columns. The kernel must
+// not report margin boxes.
+struct PoolColumns {
+  std::vector<AABB> boxes;
+  std::vector<float> col[6];
+
+  explicit PoolColumns(std::vector<AABB> b) : boxes(std::move(b)) {
+    for (const AABB& x : boxes) {
+      const float v[6] = {x.min.x, x.min.y, x.min.z, x.max.x, x.max.y, x.max.z};
+      for (int c = 0; c < 6; ++c) col[c].push_back(v[c]);
+    }
+  }
+  BoxColumns Columns() const {
+    return BoxColumns{col[0].data(), col[1].data(), col[2].data(),
+                      col[3].data(), col[4].data(), col[5].data()};
+  }
+};
+
+// Columns of `size` random pool boxes plus the margin.
+PoolColumns RandomColumns(const std::vector<AABB>& pool, Rng* rng,
+                          std::size_t size) {
+  std::vector<AABB> boxes;
+  for (std::size_t j = 0; j < size + kBoxRunWidth - 1; ++j) {
+    boxes.push_back(pool[rng->NextBelow(pool.size())]);
+  }
+  return PoolColumns(std::move(boxes));
+}
+
+using IndexPairs = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+// BoxRunMatch over outer boxes [o0, o1) and run [r0, r1) against
+// PairMatches, in both argument orders, pairs in emission order.
+void ExpectRunMatchesPairMatches(const PoolColumns& outer, std::uint32_t o0,
+                                 std::uint32_t o1, const PoolColumns& run,
+                                 std::uint32_t r0, std::uint32_t r1,
+                                 float eps) {
+  IndexPairs want_box_first;
+  IndexPairs want_lane_first;
+  for (std::uint32_t i = o0; i < o1; ++i) {
+    for (std::uint32_t j = r0; j < r1; ++j) {
+      const AABB& a = outer.boxes[i];
+      const AABB& b = run.boxes[j];
+      if (join::PairMatches(a, b, eps)) want_box_first.emplace_back(i, j);
+      if (join::PairMatches(b, a, eps)) want_lane_first.emplace_back(i, j);
+    }
+  }
+  IndexPairs got_box_first;
+  IndexPairs got_lane_first;
+  BoxRunMatch<false>(outer.Columns(), o0, o1, run.Columns(), r0, r1, eps,
+                     [&](std::uint32_t i, std::uint32_t j) {
+                       got_box_first.emplace_back(i, j);
+                     });
+  BoxRunMatch<true>(outer.Columns(), o0, o1, run.Columns(), r0, r1, eps,
+                    [&](std::uint32_t i, std::uint32_t j) {
+                      got_lane_first.emplace_back(i, j);
+                    });
+  const auto at = [&] {
+    return "outer [" + std::to_string(o0) + ", " + std::to_string(o1) +
+           ") run [" + std::to_string(r0) + ", " + std::to_string(r1) +
+           ") eps " + std::to_string(eps);
+  };
+  EXPECT_EQ(got_box_first, want_box_first) << at();
+  EXPECT_EQ(got_lane_first, want_lane_first) << at();
+}
+
+// BoxRunSelfMatch over [r0, r1): pairs i < j, box i first.
+void ExpectSelfRunMatchesPairMatches(const std::vector<AABB>& pool, Rng* rng,
+                                     std::uint32_t r0, std::uint32_t r1,
+                                     float eps) {
+  const PoolColumns c = RandomColumns(pool, rng, r1);
+  IndexPairs want;
+  for (std::uint32_t i = r0; i < r1; ++i) {
+    for (std::uint32_t j = i + 1; j < r1; ++j) {
+      if (join::PairMatches(c.boxes[i], c.boxes[j], eps)) {
+        want.emplace_back(i, j);
+      }
+    }
+  }
+  IndexPairs got;
+  BoxRunSelfMatch(c.Columns(), r0, r1, eps,
+                  [&](std::uint32_t i, std::uint32_t j) {
+                    got.emplace_back(i, j);
+                  });
+  EXPECT_EQ(got, want) << "run [" << r0 << ", " << r1 << ") eps " << eps;
+}
+
+TEST(BoxRunTest, MatchesPairMatchesBitForBitInBothArgumentOrders) {
+  const std::vector<AABB> pool = PairRunBoxPool();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(80);
+  for (const float eps : {0.0f, 0.5f, -1.0f, nan}) {
+    for (int trial = 0; trial < 400; ++trial) {
+      const auto o0 = static_cast<std::uint32_t>(rng.NextBelow(3));
+      const auto o1 = o0 + static_cast<std::uint32_t>(rng.NextBelow(6));
+      const auto r0 = static_cast<std::uint32_t>(rng.NextBelow(5));
+      // Every tail length 0..kBoxRunWidth, then runs of several groups.
+      const auto len = static_cast<std::uint32_t>(
+          trial < 100 ? trial % (kBoxRunWidth + 1) : rng.NextBelow(23));
+      const PoolColumns outer = RandomColumns(pool, &rng, o1);
+      const PoolColumns run = RandomColumns(pool, &rng, r0 + len);
+      ExpectRunMatchesPairMatches(outer, o0, o1, run, r0, r0 + len, eps);
+      ExpectSelfRunMatchesPairMatches(pool, &rng, r0, r0 + len, eps);
+    }
+  }
+}
+
+// Each pool box meets the whole pool. The pool holds pairs whose two
+// argument orders disagree and pairs whose squared distance depends on the
+// summation order, so a kernel that changed either fails here.
+TEST(BoxRunTest, ArgumentOrderMattersOnOneSidedNaN) {
+  const std::vector<AABB> pool = PairRunBoxPool();
+  std::size_t asymmetric = 0;
+  for (const AABB& a : pool) {
+    for (const AABB& b : pool) {
+      asymmetric += join::PairMatches(a, b, 0.5f) !=
+                    join::PairMatches(b, a, 0.5f);
+    }
+  }
+  EXPECT_GT(asymmetric, 0u);
+  std::vector<AABB> boxes = pool;
+  boxes.insert(boxes.end(), pool.begin(), pool.begin() + kBoxRunWidth - 1);
+  const PoolColumns all(std::move(boxes));
+  const auto n = static_cast<std::uint32_t>(pool.size());
+  for (const float eps : {0.0f, 0.5f}) {
+    ExpectRunMatchesPairMatches(all, 0, n, all, 0, n, eps);
+  }
 }
 
 }  // namespace

@@ -353,10 +353,39 @@ EmissionCase MakeEmissionCase(int which) {
       }
       return {"identical", same, 0.0f};
     }
-    default:  // Fat boxes on a small cell: the shortcut engages at eps 0.
+    case 5:  // Fat boxes on a small cell: the shortcut engages at eps 0.
       return {"small_cell_shortcut",
               GenerateClusteredBoxes(600, kUniverse, 3, 1.0f, 4.0f, 6.0f),
               2.0f};
+    default: {
+      // A 3x3x3 lattice of tight clusters of 20-30 boxes, 1.0 apart: cells
+      // (and neighbour runs) far longer than the pair kernel's lane width,
+      // in shuffled input order. The highest cell's run ends at the last
+      // element, where the kernel's tail loads reach the column padding.
+      std::vector<Element> dense;
+      Rng rng(91);
+      int cluster = 0;
+      for (int x = 0; x < 3; ++x) {
+        for (int y = 0; y < 3; ++y) {
+          for (int z = 0; z < 3; ++z, ++cluster) {
+            const Vec3 c(0.25f + x, 0.25f + y, 0.25f + z);
+            for (int i = 0; i < 20 + cluster * 7 % 11; ++i) {
+              const Vec3 jitter(rng.Uniform(-0.02f, 0.02f),
+                                rng.Uniform(-0.02f, 0.02f),
+                                rng.Uniform(-0.02f, 0.02f));
+              dense.emplace_back(
+                  static_cast<ElementId>(dense.size()),
+                  AABB::FromCenterHalfExtent(c + jitter,
+                                             rng.Uniform(0.3f, 0.5f)));
+            }
+          }
+        }
+      }
+      for (std::size_t i = dense.size() - 1; i > 0; --i) {
+        std::swap(dense[i], dense[rng.NextBelow(i + 1)]);
+      }
+      return {"dense_cells", dense, 0.0f};
+    }
   }
 }
 
@@ -395,7 +424,7 @@ TEST_P(GridEmissionTest, MatchesHashGridReferenceAtEveryThreadCount) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Datasets, GridEmissionTest, ::testing::Range(0, 6),
+INSTANTIATE_TEST_SUITE_P(Datasets, GridEmissionTest, ::testing::Range(0, 7),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return std::string(
                                MakeEmissionCase(info.param).name);

@@ -272,5 +272,27 @@ TEST(LooseOctreeTest, HugeProbeEnumeratesOnlyOccupiedKeys) {
   EXPECT_EQ(got, ScanKnn(elems, p, elems.size() + 10));
 }
 
+// With k >= size every element is a neighbour: the answer is one pass
+// sorted by (distance, id), with no cube expansion (no structure probes),
+// and it includes elements far outside the universe, as ScanKnn does.
+TEST(LooseOctreeTest, KnnWithKAtLeastSizeScansOnce) {
+  auto elems = GenerateUniformBoxes(300, kUniverse, 0.1f, 0.4f);
+  elems.emplace_back(300, AABB::FromCenterHalfExtent(Vec3(900, 5, 5), 1.0f));
+  elems.emplace_back(301, AABB::FromCenterHalfExtent(Vec3(-1e6f, 0, 0), 1.0f));
+  elems.emplace_back(302, elems[7].box);  // A distance tie, broken by id.
+  LooseOctree t(kUniverse);
+  t.Build(elems);
+  for (const Vec3& p : {Vec3(-4, 5, 20), Vec3(50, 50, 50), Vec3(0, 0, 0)}) {
+    for (const std::size_t k : {elems.size(), elems.size() + 10}) {
+      QueryCounters c;
+      std::vector<ElementId> got;
+      t.KnnQuery(p, k, &got, &c);
+      EXPECT_EQ(got, ScanKnn(elems, p, k)) << "k=" << k;
+      EXPECT_EQ(c.structure_tests, 0u) << "k=" << k;
+      EXPECT_EQ(c.distance_computations, elems.size()) << "k=" << k;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace simspatial::pam
