@@ -104,8 +104,9 @@ std::vector<std::vector<ElementId>> BatchScanRange(
                  1;
   }
   std::vector<std::uint32_t> wide;
+  std::vector<QueryGrid::Range> query_cells(queries.size());
   for (std::uint32_t qi = 0; qi < queries.size(); ++qi) {
-    const QueryGrid::Range r = g.RangeOf(queries[qi]);
+    const QueryGrid::Range& r = query_cells[qi] = g.RangeOf(queries[qi]);
     if (r.Cells() > kWideQueryCells) {
       wide.push_back(qi);
       continue;
@@ -117,10 +118,12 @@ std::vector<std::vector<ElementId>> BatchScanRange(
 
   // Stream the dataset once; for each element visit the cells its box
   // overlaps and test the queries registered there. The reference-point
-  // rule (count the pair only in the cell holding max(mins)) deduplicates
-  // without per-pair state. An element spanning more cells than are
+  // rule deduplicates without per-pair state: a pair is tested only in the
+  // cell max(element's low cell, query's low cell), which is the cell of
+  // max(mins) because CoordOf is monotone, and which lies in both ranges
+  // whenever the boxes intersect. An element spanning more cells than are
   // occupied (a huge box) walks the occupied cells instead. Either way an
-  // element reaches each query at most once, in dataset order.
+  // element tests each query at most once, in dataset order.
   QueryCounters local;
   QueryCounters& c = counters != nullptr ? *counters : local;
   constexpr std::int64_t kMask = QueryGrid::kMaxCells - 1;
@@ -136,14 +139,14 @@ std::vector<std::vector<ElementId>> BatchScanRange(
     const auto visit = [&](const std::int64_t(&cell)[3],
                            const std::vector<std::uint32_t>& registered) {
       for (const std::uint32_t qi : registered) {
-        const AABB& q = queries[qi];
-        c.element_tests += 1;
-        if (!e.box.Intersects(q)) continue;
-        const Vec3 ref = Vec3::Max(e.box.min, q.min);
-        if (g.CoordOf(ref.x, 0) == cell[0] && g.CoordOf(ref.y, 1) == cell[1] &&
-            g.CoordOf(ref.z, 2) == cell[2]) {
-          out[qi].push_back(e.id);
+        const std::int64_t(&q_lo)[3] = query_cells[qi].lo;
+        if (std::max(r.lo[0], q_lo[0]) != cell[0] ||
+            std::max(r.lo[1], q_lo[1]) != cell[1] ||
+            std::max(r.lo[2], q_lo[2]) != cell[2]) {
+          continue;
         }
+        c.element_tests += 1;
+        if (e.box.Intersects(queries[qi])) out[qi].push_back(e.id);
       }
     };
     if (span > g.cells.size()) {

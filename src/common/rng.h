@@ -17,19 +17,28 @@
 
 namespace simspatial {
 
+/// The SplitMix64 finalizer: a bijective 64-bit mix whose outputs for
+/// nearby inputs are unrelated. Derives independent seeds from structured
+/// ones, e.g. a per-block stream from (step seed, block index).
+constexpr std::uint64_t SplitMix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// xoshiro256++ PRNG with SplitMix64 seeding.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) { Seed(seed); }
 
-  /// Re-seed the full state from a single 64-bit value.
+  /// Re-seed the full state from a single 64-bit value. The state words are
+  /// SplitMix64(seed + k * golden ratio) for k = 1..4, so seeds that differ
+  /// by a multiple of the golden ratio share state words: derive related
+  /// seeds through SplitMix64 rather than by stepping them linearly.
   void Seed(std::uint64_t seed) {
     for (auto& word : state_) {
       seed += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = seed;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      word = z ^ (z >> 31);
+      word = SplitMix64(seed);
     }
   }
 
@@ -63,7 +72,10 @@ class Rng {
   float Uniform(float lo, float hi) { return lo + (hi - lo) * NextFloat(); }
 
   /// Standard normal via Box–Muller (no state caching; simple and branch-
-  /// predictable, throughput is irrelevant next to index work).
+  /// predictable). Not cheap: a log, a cos and a sqrt per draw, ~30 ns.
+  /// Three draws per element made the plasticity random walk the largest
+  /// phase of the Figure-1 loop while it ran serially, which is why
+  /// PlasticityModel::Step draws from per-block streams on the pool.
   float Normal() {
     float u1 = NextFloat();
     while (u1 <= 1e-9f) u1 = NextFloat();

@@ -10,6 +10,16 @@
 // For mean 0.04 µm this yields sigma ≈ 0.02507 µm, and
 // P(|d| > 0.1 µm) = P(chi_3 > 0.1/sigma) ≈ 0.24% — inside the paper's
 // "<0.5%" bound. `DisplacementStats` verifies both in tests.
+//
+// Stream and threads. Each Step draws one step seed from the model's Rng.
+// The elements are cut into fixed blocks of kBlockElements, and block b
+// draws from its own Rng seeded with SplitMix64 of (step seed, b), element
+// by element in ascending order: the moving coin (when moving_fraction < 1)
+// and then three normals. The trajectory is therefore a pure function of
+// (config.seed, step, element position). Blocks run on the thread pool in
+// contiguous runs, and the per-block sums, maxima and counts merge in block
+// order, so elements, capsules, updates and every DisplacementStats field
+// are bit-identical at every `threads` value (tests/parallel_test.cpp).
 
 #ifndef SIMSPATIAL_DATAGEN_PLASTICITY_H_
 #define SIMSPATIAL_DATAGEN_PLASTICITY_H_
@@ -18,6 +28,7 @@
 
 #include "common/element.h"
 #include "common/rng.h"
+#include "common/threads.h"
 #include "datagen/neuron.h"
 
 namespace simspatial::datagen {
@@ -31,6 +42,11 @@ struct PlasticityConfig {
   /// 1.0 by default. The §4.1 bench sweeps this to find the update-vs-
   /// rebuild crossover.
   float moving_fraction = 1.0f;
+  /// Worker threads for Step, with the meaning of
+  /// join::GridJoinOptions::threads: par::kThreadsAuto resolves to the
+  /// hardware concurrency, 0 and 1 run on the calling thread. The result is
+  /// identical at every value.
+  std::uint32_t threads = par::kThreadsAuto;
 };
 
 /// Aggregate displacement statistics of one step (validated against §4.1).
@@ -50,9 +66,14 @@ class PlasticityModel {
   /// Gaussian sigma per axis implied by the configured mean magnitude.
   float sigma() const { return sigma_; }
 
-  /// Advance `elements` (boxes translated rigidly) one step; emits one
-  /// ElementUpdate per moved element into `updates` and returns statistics.
-  /// Elements reflect off the universe boundary.
+  /// Elements per seeded block: the unit of the stream and of the parallel
+  /// split. Fixed, so the trajectory does not depend on the thread count.
+  static constexpr std::size_t kBlockElements = 4096;
+
+  /// Advance `elements` (boxes translated rigidly) one step; replaces the
+  /// contents of `updates` with one ElementUpdate per moved element, in
+  /// ascending element order, and returns statistics. Elements reflect off
+  /// the universe boundary.
   DisplacementStats Step(std::vector<Element>* elements,
                          std::vector<ElementUpdate>* updates);
 
@@ -63,8 +84,6 @@ class PlasticityModel {
                          std::vector<ElementUpdate>* updates);
 
  private:
-  Vec3 SampleDisplacement();
-
   PlasticityConfig config_;
   AABB universe_;
   float sigma_;

@@ -97,7 +97,9 @@ struct SimulationConfig {
   /// par::kThreadsAuto resolves to the hardware concurrency, 0 and 1 run
   /// on the calling thread. Parallel-capable structures (MemGrid) use it for
   /// Build / ApplyUpdates / SelfJoin; others ignore it. Step results are
-  /// identical at every value.
+  /// identical at every value. The kinetics phase does not read it:
+  /// PlasticityKinetics takes its threads from datagen::PlasticityConfig::
+  /// threads.
   std::uint32_t index_threads = par::kThreadsAuto;
   /// Cell-region storage order for the base MemGrid profiles
   /// (core::IndexOptions::layout): kRowMajor | kMorton | kHilbert. Other

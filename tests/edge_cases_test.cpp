@@ -542,7 +542,8 @@ TEST(BatchScanEdgeCaseTest, HugeAndNaNInputsMatchPerQueryScan) {
 
   // Ordinary probes and elements beside a NaN and an infinite probe: the
   // two must not size or place the grid, which stays fine enough to beat
-  // repeated scans by far.
+  // repeated scans by far. "hostile" runs the same probes over the hostile
+  // elements, whose boxes share many cells with the NaN probe's.
   std::vector<Element> ordinary;
   for (ElementId i = 0; i < 400; ++i) {
     ordinary.emplace_back(i, AABB::FromCenterHalfExtent(
@@ -559,7 +560,8 @@ TEST(BatchScanEdgeCaseTest, HugeAndNaNInputsMatchPerQueryScan) {
   for (const auto& [name, data, probes] :
        {std::tuple{"small", elems, small}, std::tuple{"huge", elems, huge},
         std::tuple{"infinite", elems, infinite},
-        std::tuple{"mixed", ordinary, mixed}}) {
+        std::tuple{"mixed", ordinary, mixed},
+        std::tuple{"hostile", elems, mixed}}) {
     QueryCounters batched;
     const auto got = BatchScanRange(data, probes, &batched);
     ASSERT_EQ(got.size(), probes.size()) << name;
@@ -568,6 +570,9 @@ TEST(BatchScanEdgeCaseTest, HugeAndNaNInputsMatchPerQueryScan) {
       EXPECT_EQ(got[q], ScanRange(data, probes[q], &repeated))
           << name << " probe " << q << " " << probes[q];
     }
+    // One test per (element, query) pair at most, however many cells the
+    // two share.
+    EXPECT_LE(batched.element_tests, repeated.element_tests) << name;
     if (std::string(name) == "mixed") {
       EXPECT_LT(batched.element_tests, repeated.element_tests / 4);
     }

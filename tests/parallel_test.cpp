@@ -8,7 +8,9 @@
 // so cross-layout agreement is asserted on sorted results and on
 // order-independent observables (pair sets, counter totals, update stats).
 // Also unit-tests the static-partition thread pool itself
-// (common/parallel.h).
+// (common/parallel.h), and pins the plasticity kinetics (block-seeded
+// streams on the pool) to the same thread invariance, alone and inside
+// the Simulation loop.
 //
 // This suite is the intended TSan workload (ctest label "determinism"):
 //   cmake -B build-tsan -S . -DSIMSPATIAL_SANITIZE=thread
@@ -18,6 +20,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -26,6 +30,8 @@
 #include "common/rng.h"
 #include "core/memgrid.h"
 #include "datagen/neuron.h"
+#include "datagen/plasticity.h"
+#include "sim/simulation.h"
 
 namespace simspatial::core {
 namespace {
@@ -948,6 +954,140 @@ TEST(BatchDeterminismTest, BatchIdenticalMidCompaction) {
     // The tiny-budget configs must actually have been caught mid-pass, or
     // the batch-over-two-block-reads path went untested.
     EXPECT_TRUE(saw_compacting) << ToString(layout);
+  }
+}
+
+// --- Plasticity kinetics --------------------------------------------------
+
+// Kinetics thread settings; 0 is the serial reference.
+const std::uint32_t kKineticsThreads[] = {0, 1, 2, 3, 8, par::kThreadsAuto};
+
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool SameStats(const datagen::DisplacementStats& a,
+               const datagen::DisplacementStats& b) {
+  return SameBits(a.mean_magnitude, b.mean_magnitude) &&
+         SameBits(a.max_magnitude, b.max_magnitude) &&
+         SameBits(a.fraction_over_0p1, b.fraction_over_0p1) &&
+         a.moved == b.moved;
+}
+
+struct KineticsTrace {
+  std::vector<Element> elements;
+  std::vector<Capsule> capsules;
+  std::vector<std::vector<ElementUpdate>> updates;  ///< One list per step.
+  std::vector<datagen::DisplacementStats> stats;
+};
+
+/// Three steps of a walk violent enough to reflect off the walls of a
+/// small universe, at the given kinetics thread count.
+KineticsTrace RunKinetics(std::size_t n, float moving_fraction,
+                          bool with_capsules, std::uint32_t threads) {
+  const AABB universe(Vec3(0, 0, 0), Vec3(20, 20, 20));
+  KineticsTrace t;
+  t.elements = GenerateUniformBoxes(n, universe, 0.1f, 0.4f);
+  if (with_capsules) {
+    for (const Element& e : t.elements) {
+      t.capsules.emplace_back(e.box.min, e.box.max, 0.0f);
+    }
+  }
+  datagen::PlasticityConfig cfg;
+  cfg.seed = 1701;
+  cfg.mean_displacement = 0.5f;
+  cfg.moving_fraction = moving_fraction;
+  cfg.threads = threads;
+  datagen::PlasticityModel model(cfg, universe);
+  std::vector<ElementUpdate> updates;
+  for (int step = 0; step < 3; ++step) {
+    t.stats.push_back(with_capsules
+                          ? model.Step(&t.elements, &t.capsules, &updates)
+                          : model.Step(&t.elements, &updates));
+    t.updates.push_back(updates);
+  }
+  return t;
+}
+
+TEST(KineticsDeterminismTest, PlasticityStepIdenticalAcrossThreadCounts) {
+  constexpr std::size_t kBlock = datagen::PlasticityModel::kBlockElements;
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, kBlock - 1, kBlock, kBlock + 1,
+        std::size_t{50000}}) {
+    for (const float fraction : {1.0f, 0.25f}) {
+      for (const bool with_capsules : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " fraction=" << fraction
+                     << " capsules=" << with_capsules);
+        const KineticsTrace ref = RunKinetics(n, fraction, with_capsules, 0);
+        for (std::size_t step = 0; step < ref.updates.size(); ++step) {
+          const auto& u = ref.updates[step];
+          ASSERT_EQ(u.size(), ref.stats[step].moved);
+          if (fraction == 1.0f) {
+            ASSERT_EQ(u.size(), n);
+          }
+          for (std::size_t i = 1; i < u.size(); ++i) {
+            ASSERT_LT(u[i - 1].id, u[i].id) << "updates out of element order";
+          }
+        }
+        for (const std::uint32_t threads : kKineticsThreads) {
+          SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+          const KineticsTrace got =
+              RunKinetics(n, fraction, with_capsules, threads);
+          EXPECT_TRUE(SameBytes(got.elements, ref.elements));
+          EXPECT_TRUE(SameBytes(got.capsules, ref.capsules));
+          ASSERT_EQ(got.updates.size(), ref.updates.size());
+          for (std::size_t step = 0; step < ref.updates.size(); ++step) {
+            EXPECT_TRUE(SameBytes(got.updates[step], ref.updates[step]))
+                << "step " << step;
+            EXPECT_TRUE(SameStats(got.stats[step], ref.stats[step]))
+                << "step " << step;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KineticsDeterminismTest, SimulationIdenticalAcrossKineticsThreads) {
+  const auto run = [](std::uint32_t threads) {
+    sim::SimulationConfig cfg;
+    cfg.monitor_range_queries = 20;
+    cfg.synapse_every = 1;
+    datagen::PlasticityConfig pcfg;
+    pcfg.mean_displacement = 0.2f;
+    pcfg.threads = threads;
+    auto kinetics = std::make_unique<sim::PlasticityKinetics>(pcfg, kUniverse);
+    const sim::PlasticityKinetics* k = kinetics.get();
+    sim::Simulation simulation(
+        GenerateUniformBoxes(3 * datagen::PlasticityModel::kBlockElements + 5,
+                             kUniverse, 0.1f, 0.8f),
+        kUniverse, std::move(kinetics), cfg);
+    std::vector<sim::StepReport> reports;
+    std::vector<datagen::DisplacementStats> stats;
+    for (int step = 0; step < 3; ++step) {
+      reports.push_back(simulation.Step());
+      stats.push_back(k->last_stats());
+    }
+    return std::tuple{simulation.elements(), reports, stats};
+  };
+  const auto [ref_elements, ref_reports, ref_stats] = run(1);
+  const auto [elements, reports, stats] = run(par::kThreadsAuto);
+  EXPECT_TRUE(SameBytes(elements, ref_elements));
+  ASSERT_EQ(reports.size(), ref_reports.size());
+  for (std::size_t s = 0; s < reports.size(); ++s) {
+    EXPECT_EQ(reports[s].updates_applied, ref_reports[s].updates_applied);
+    EXPECT_EQ(reports[s].monitor_results, ref_reports[s].monitor_results);
+    EXPECT_EQ(reports[s].synapse_pairs, ref_reports[s].synapse_pairs);
+    EXPECT_EQ(reports[s].query_counters, ref_reports[s].query_counters);
+    EXPECT_TRUE(SameStats(stats[s], ref_stats[s])) << "step " << s;
   }
 }
 
