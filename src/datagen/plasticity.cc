@@ -98,7 +98,7 @@ DisplacementStats PlasticityModel::Step(std::vector<Element>* elements,
     tallies[b] = t;
   };
   par::ParallelChunks(
-      par::ChunkCount(par::ResolveThreads(config_.threads), blocks, 1),
+      par::ChunkCount(par::ResolveThreads(par::kThreadsAuto), blocks, 1),
       blocks, [&](std::size_t, std::size_t b0, std::size_t b1) {
         for (std::size_t b = b0; b < b1; ++b) run_block(b);
       });

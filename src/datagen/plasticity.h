@@ -13,13 +13,16 @@
 //
 // Stream and threads. Each Step draws one step seed from the model's Rng.
 // The elements are cut into fixed blocks of kBlockElements, and block b
-// draws from its own Rng seeded with SplitMix64 of (step seed, b), element
-// by element in ascending order: the moving coin (when moving_fraction < 1)
-// and then three normals. The trajectory is therefore a pure function of
-// (config.seed, step, element position). Blocks run on the thread pool in
-// contiguous runs, and the per-block sums, maxima and counts merge in block
-// order, so elements, capsules, updates and every DisplacementStats field
-// are bit-identical at every `threads` value (tests/parallel_test.cpp).
+// draws from its own Rng seeded with SplitMix64(step seed + (b + 1) *
+// golden ratio), element by element in ascending order: the moving coin
+// (when moving_fraction < 1) and then three normals. The trajectory is
+// therefore a pure function of (config.seed, step, element position).
+// Blocks run on the thread pool (at the hardware concurrency) in contiguous
+// runs; each block sums its magnitudes in element order, and the block
+// sums, maxima and counts merge in block order, so elements, capsules,
+// updates and every DisplacementStats field do not depend on the thread
+// count. tests/parallel_test.cpp recomputes this stream serially and
+// checks Step against it bit for bit.
 
 #ifndef SIMSPATIAL_DATAGEN_PLASTICITY_H_
 #define SIMSPATIAL_DATAGEN_PLASTICITY_H_
@@ -28,7 +31,6 @@
 
 #include "common/element.h"
 #include "common/rng.h"
-#include "common/threads.h"
 #include "datagen/neuron.h"
 
 namespace simspatial::datagen {
@@ -42,11 +44,6 @@ struct PlasticityConfig {
   /// 1.0 by default. The §4.1 bench sweeps this to find the update-vs-
   /// rebuild crossover.
   float moving_fraction = 1.0f;
-  /// Worker threads for Step, with the meaning of
-  /// join::GridJoinOptions::threads: par::kThreadsAuto resolves to the
-  /// hardware concurrency, 0 and 1 run on the calling thread. The result is
-  /// identical at every value.
-  std::uint32_t threads = par::kThreadsAuto;
 };
 
 /// Aggregate displacement statistics of one step (validated against §4.1).

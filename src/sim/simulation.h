@@ -97,9 +97,9 @@ struct SimulationConfig {
   /// par::kThreadsAuto resolves to the hardware concurrency, 0 and 1 run
   /// on the calling thread. Parallel-capable structures (MemGrid) use it for
   /// Build / ApplyUpdates / SelfJoin; others ignore it. Step results are
-  /// identical at every value. The kinetics phase does not read it:
-  /// PlasticityKinetics takes its threads from datagen::PlasticityConfig::
-  /// threads.
+  /// identical at every value. The plasticity kinetics does not read it:
+  /// PlasticityModel::Step always runs on the pool at the hardware
+  /// concurrency, and its output does not depend on the thread count.
   std::uint32_t index_threads = par::kThreadsAuto;
   /// Cell-region storage order for the base MemGrid profiles
   /// (core::IndexOptions::layout): kRowMajor | kMorton | kHilbert. Other

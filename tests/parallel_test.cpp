@@ -8,9 +8,9 @@
 // so cross-layout agreement is asserted on sorted results and on
 // order-independent observables (pair sets, counter totals, update stats).
 // Also unit-tests the static-partition thread pool itself
-// (common/parallel.h), and pins the plasticity kinetics (block-seeded
-// streams on the pool) to the same thread invariance, alone and inside
-// the Simulation loop.
+// (common/parallel.h), and checks the plasticity kinetics (block-seeded
+// streams on the pool) bit for bit against a serial recomputation of its
+// stream, alone and inside the Simulation loop.
 //
 // This suite is the intended TSan workload (ctest label "determinism"):
 //   cmake -B build-tsan -S . -DSIMSPATIAL_SANITIZE=thread
@@ -959,9 +959,6 @@ TEST(BatchDeterminismTest, BatchIdenticalMidCompaction) {
 
 // --- Plasticity kinetics --------------------------------------------------
 
-// Kinetics thread settings; 0 is the serial reference.
-const std::uint32_t kKineticsThreads[] = {0, 1, 2, 3, 8, par::kThreadsAuto};
-
 template <typename T>
 bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
   return a.size() == b.size() &&
@@ -981,6 +978,88 @@ bool SameStats(const datagen::DisplacementStats& a,
          a.moved == b.moved;
 }
 
+/// The stream documented in datagen/plasticity.h, recomputed on one thread:
+/// a step seed from Rng(config.seed), per block of kBlockElements an Rng
+/// seeded with SplitMix64(step seed + (b + 1) * golden ratio), per element
+/// the moving coin and then three normals, block sums merged in block order.
+class SerialKinetics {
+ public:
+  SerialKinetics(const datagen::PlasticityConfig& config, float sigma,
+                 const AABB& universe)
+      : config_(config),
+        sigma_(sigma),
+        universe_(universe),
+        rng_(config.seed) {}
+
+  datagen::DisplacementStats Step(std::vector<Element>* elements,
+                                  std::vector<Capsule>* capsules,
+                                  std::vector<ElementUpdate>* updates) {
+    constexpr std::size_t kBlock = datagen::PlasticityModel::kBlockElements;
+    const std::uint64_t step_seed = rng_.NextU64();
+    const std::size_t n = elements->size();
+    updates->clear();
+    datagen::DisplacementStats stats;
+    double sum = 0;
+    std::size_t over = 0;
+    for (std::size_t begin = 0; begin < n; begin += kBlock) {
+      const std::uint64_t b = begin / kBlock;
+      Rng rng(SplitMix64(step_seed + (b + 1) * 0x9e3779b97f4a7c15ULL));
+      double block_sum = 0;
+      for (std::size_t i = begin; i < std::min(n, begin + kBlock); ++i) {
+        if (config_.moving_fraction < 1.0f &&
+            rng.NextFloat() >= config_.moving_fraction) {
+          continue;
+        }
+        const float dx = rng.Normal(0.0f, sigma_);
+        const float dy = rng.Normal(0.0f, sigma_);
+        const float dz = rng.Normal(0.0f, sigma_);
+        const Vec3 d(dx, dy, dz);
+        const double mag = d.Norm();
+        block_sum += mag;
+        stats.max_magnitude = std::max(stats.max_magnitude, mag);
+        if (mag > 0.1) ++over;
+        Element& e = (*elements)[i];
+        const Vec3 before = e.box.min;
+        e.box = Reflected(e.box.Translated(d));
+        if (capsules != nullptr) {
+          const Vec3 eff = e.box.min - before;
+          (*capsules)[i].a += eff;
+          (*capsules)[i].b += eff;
+        }
+        updates->emplace_back(e.id, e.box);
+        ++stats.moved;
+      }
+      sum += block_sum;
+    }
+    stats.mean_magnitude = stats.moved > 0 ? sum / stats.moved : 0.0;
+    stats.fraction_over_0p1 = n == 0 ? 0.0 : static_cast<double>(over) / n;
+    return stats;
+  }
+
+ private:
+  // Mirror a box that crossed a universe face back inside it.
+  AABB Reflected(AABB box) const {
+    for (int axis = 0; axis < 3; ++axis) {
+      const float under = universe_.min[axis] - box.min[axis];
+      if (under > 0) {
+        box.min[axis] += 2 * under;
+        box.max[axis] += 2 * under;
+      }
+      const float over = box.max[axis] - universe_.max[axis];
+      if (over > 0) {
+        box.min[axis] -= 2 * over;
+        box.max[axis] -= 2 * over;
+      }
+    }
+    return box;
+  }
+
+  datagen::PlasticityConfig config_;
+  float sigma_;
+  AABB universe_;
+  Rng rng_;
+};
+
 struct KineticsTrace {
   std::vector<Element> elements;
   std::vector<Capsule> capsules;
@@ -989,9 +1068,10 @@ struct KineticsTrace {
 };
 
 /// Three steps of a walk violent enough to reflect off the walls of a
-/// small universe, at the given kinetics thread count.
+/// small universe, through PlasticityModel (on the pool) or, with
+/// `serial_reference`, through SerialKinetics.
 KineticsTrace RunKinetics(std::size_t n, float moving_fraction,
-                          bool with_capsules, std::uint32_t threads) {
+                          bool with_capsules, bool serial_reference) {
   const AABB universe(Vec3(0, 0, 0), Vec3(20, 20, 20));
   KineticsTrace t;
   t.elements = GenerateUniformBoxes(n, universe, 0.1f, 0.4f);
@@ -1004,19 +1084,21 @@ KineticsTrace RunKinetics(std::size_t n, float moving_fraction,
   cfg.seed = 1701;
   cfg.mean_displacement = 0.5f;
   cfg.moving_fraction = moving_fraction;
-  cfg.threads = threads;
   datagen::PlasticityModel model(cfg, universe);
+  SerialKinetics reference(cfg, model.sigma(), universe);
+  std::vector<Capsule>* capsules = with_capsules ? &t.capsules : nullptr;
   std::vector<ElementUpdate> updates;
   for (int step = 0; step < 3; ++step) {
-    t.stats.push_back(with_capsules
-                          ? model.Step(&t.elements, &t.capsules, &updates)
-                          : model.Step(&t.elements, &updates));
+    t.stats.push_back(
+        serial_reference ? reference.Step(&t.elements, capsules, &updates)
+        : with_capsules  ? model.Step(&t.elements, capsules, &updates)
+                         : model.Step(&t.elements, &updates));
     t.updates.push_back(updates);
   }
   return t;
 }
 
-TEST(KineticsDeterminismTest, PlasticityStepIdenticalAcrossThreadCounts) {
+TEST(KineticsDeterminismTest, PlasticityStepMatchesSerialStream) {
   constexpr std::size_t kBlock = datagen::PlasticityModel::kBlockElements;
   for (const std::size_t n :
        {std::size_t{0}, std::size_t{1}, kBlock - 1, kBlock, kBlock + 1,
@@ -1026,68 +1108,71 @@ TEST(KineticsDeterminismTest, PlasticityStepIdenticalAcrossThreadCounts) {
         SCOPED_TRACE(::testing::Message()
                      << "n=" << n << " fraction=" << fraction
                      << " capsules=" << with_capsules);
-        const KineticsTrace ref = RunKinetics(n, fraction, with_capsules, 0);
+        const KineticsTrace ref = RunKinetics(n, fraction, with_capsules, true);
+        const KineticsTrace got =
+            RunKinetics(n, fraction, with_capsules, false);
+        EXPECT_TRUE(SameBytes(got.elements, ref.elements));
+        EXPECT_TRUE(SameBytes(got.capsules, ref.capsules));
+        ASSERT_EQ(got.updates.size(), ref.updates.size());
         for (std::size_t step = 0; step < ref.updates.size(); ++step) {
-          const auto& u = ref.updates[step];
-          ASSERT_EQ(u.size(), ref.stats[step].moved);
+          SCOPED_TRACE(::testing::Message() << "step " << step);
+          const auto& u = got.updates[step];
+          ASSERT_EQ(u.size(), got.stats[step].moved);
           if (fraction == 1.0f) {
             ASSERT_EQ(u.size(), n);
           }
           for (std::size_t i = 1; i < u.size(); ++i) {
             ASSERT_LT(u[i - 1].id, u[i].id) << "updates out of element order";
           }
-        }
-        for (const std::uint32_t threads : kKineticsThreads) {
-          SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-          const KineticsTrace got =
-              RunKinetics(n, fraction, with_capsules, threads);
-          EXPECT_TRUE(SameBytes(got.elements, ref.elements));
-          EXPECT_TRUE(SameBytes(got.capsules, ref.capsules));
-          ASSERT_EQ(got.updates.size(), ref.updates.size());
-          for (std::size_t step = 0; step < ref.updates.size(); ++step) {
-            EXPECT_TRUE(SameBytes(got.updates[step], ref.updates[step]))
-                << "step " << step;
-            EXPECT_TRUE(SameStats(got.stats[step], ref.stats[step]))
-                << "step " << step;
-          }
+          EXPECT_TRUE(SameBytes(u, ref.updates[step]));
+          EXPECT_TRUE(SameStats(got.stats[step], ref.stats[step]));
         }
       }
     }
   }
 }
 
-TEST(KineticsDeterminismTest, SimulationIdenticalAcrossKineticsThreads) {
-  const auto run = [](std::uint32_t threads) {
+TEST(KineticsDeterminismTest, SimulationKineticsMatchesSerialStream) {
+  const std::vector<Element> initial = GenerateUniformBoxes(
+      10 * datagen::PlasticityModel::kBlockElements + 5, kUniverse, 0.1f, 0.8f);
+  datagen::PlasticityConfig pcfg;
+  pcfg.mean_displacement = 0.2f;
+  const float sigma = datagen::PlasticityModel(pcfg, kUniverse).sigma();
+
+  // The serial stream on its own copy of the elements.
+  SerialKinetics reference(pcfg, sigma, kUniverse);
+  std::vector<Element> ref_elements = initial;
+  std::vector<ElementUpdate> updates;
+  std::vector<datagen::DisplacementStats> ref_stats;
+  for (int step = 0; step < 3; ++step) {
+    ref_stats.push_back(reference.Step(&ref_elements, nullptr, &updates));
+  }
+
+  std::vector<std::vector<sim::StepReport>> runs;
+  for (const std::uint32_t threads : {0u, par::kThreadsAuto}) {
+    SCOPED_TRACE(::testing::Message() << "index_threads=" << threads);
     sim::SimulationConfig cfg;
+    cfg.index_threads = threads;
     cfg.monitor_range_queries = 20;
     cfg.synapse_every = 1;
-    datagen::PlasticityConfig pcfg;
-    pcfg.mean_displacement = 0.2f;
-    pcfg.threads = threads;
     auto kinetics = std::make_unique<sim::PlasticityKinetics>(pcfg, kUniverse);
     const sim::PlasticityKinetics* k = kinetics.get();
-    sim::Simulation simulation(
-        GenerateUniformBoxes(3 * datagen::PlasticityModel::kBlockElements + 5,
-                             kUniverse, 0.1f, 0.8f),
-        kUniverse, std::move(kinetics), cfg);
+    sim::Simulation simulation(initial, kUniverse, std::move(kinetics), cfg);
     std::vector<sim::StepReport> reports;
-    std::vector<datagen::DisplacementStats> stats;
     for (int step = 0; step < 3; ++step) {
       reports.push_back(simulation.Step());
-      stats.push_back(k->last_stats());
+      EXPECT_TRUE(SameStats(k->last_stats(), ref_stats[step]))
+          << "step " << step;
     }
-    return std::tuple{simulation.elements(), reports, stats};
-  };
-  const auto [ref_elements, ref_reports, ref_stats] = run(1);
-  const auto [elements, reports, stats] = run(par::kThreadsAuto);
-  EXPECT_TRUE(SameBytes(elements, ref_elements));
-  ASSERT_EQ(reports.size(), ref_reports.size());
-  for (std::size_t s = 0; s < reports.size(); ++s) {
-    EXPECT_EQ(reports[s].updates_applied, ref_reports[s].updates_applied);
-    EXPECT_EQ(reports[s].monitor_results, ref_reports[s].monitor_results);
-    EXPECT_EQ(reports[s].synapse_pairs, ref_reports[s].synapse_pairs);
-    EXPECT_EQ(reports[s].query_counters, ref_reports[s].query_counters);
-    EXPECT_TRUE(SameStats(stats[s], ref_stats[s])) << "step " << s;
+    EXPECT_TRUE(SameBytes(simulation.elements(), ref_elements));
+    runs.push_back(reports);
+  }
+  ASSERT_EQ(runs[0].size(), runs[1].size());
+  for (std::size_t s = 0; s < runs[0].size(); ++s) {
+    EXPECT_EQ(runs[1][s].updates_applied, runs[0][s].updates_applied);
+    EXPECT_EQ(runs[1][s].monitor_results, runs[0][s].monitor_results);
+    EXPECT_EQ(runs[1][s].synapse_pairs, runs[0][s].synapse_pairs);
+    EXPECT_EQ(runs[1][s].query_counters, runs[0][s].query_counters);
   }
 }
 
